@@ -507,6 +507,7 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
         raise ValueError(f"grid_size must be even and >= 64, "
                          f"got {grid_size}")
     start_band = Band(start_band)
+    gauge = Gauge(gauge)
     step = 2.0 * np.pi / grid_size
     closure = np.inf
     for zones in (1, 2):
@@ -659,6 +660,7 @@ def band_winding(model: BlochModel, band: Band = Band.PLUS,
         raise ValueError(f"grid_size must be even and >= 64, "
                          f"got {grid_size}")
     band = Band(band)
+    gauge = Gauge(gauge)
     step = 2.0 * np.pi / grid_size
     k_inc = np.arange(grid_size + 1) * step
     h, e_t, e_o, free_t, free_o, reference = _tracked_segment(
@@ -715,6 +717,7 @@ def split_check(model: BlochModel, gauge: Gauge = Gauge.TRANSPOSE,
     (verified internally to 1e-8).  Models whose loop already closes
     after a single zone have nothing to split and raise ``ValueError``.
     """
+    gauge = Gauge(gauge)
     traj = loop_period(model, grid_size=grid_size, gauge=gauge)
     if abs(traj.period - 4.0 * np.pi) > traj.step:
         raise ValueError(
@@ -780,6 +783,7 @@ def winding_report(model: BlochModel, gauge: Gauge = Gauge.TRANSPOSE,
     With ``with_bands`` the report also carries the two single-zone
     band windings (independent quadratures, not halves of the loop).
     """
+    gauge = Gauge(gauge)
     traj = loop_period(model, grid_size=grid_size, gauge=gauge)
     gamma_b = berry_phase(traj, derivative=derivative)
     w = winding_number(gamma_b)

@@ -282,6 +282,7 @@ def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem
     smooth gauge picks its reference spinor for this matrix alone, over
     both eigenvectors.
     """
+    gauge = Gauge(gauge)
     h = np.asarray(h, dtype=complex)
     if h.shape != (2, 2):
         raise ValueError(f"h must be 2x2, got {h.shape}")

@@ -1,22 +1,26 @@
 """Finite chains built from the two-band hopping blocks.
 
 Real-space Hamiltonians for ``n`` unit cells (2 sites per cell) under
-open or periodic boundaries, their dense spectra, left eigenvectors by
-assignment matching, inverse participation ratios, and the spectral
-summaries (mid-gap filtering, boundary scans) used to quantify the
-skin effect: under open boundaries a non-reciprocal chain piles its
-eigenstates onto one edge, its spectrum collapses toward the real
-axis for moderate sizes, and the gap shrinks as the chain grows.
+open or periodic boundaries, their dense spectra, biorthonormal left
+eigenvectors, inverse participation ratios, and the spectral summaries
+(mid-gap filtering, boundary scans) used to quantify the skin effect:
+under open boundaries a non-reciprocal chain piles its eigenstates onto
+one edge, its spectrum collapses toward the real axis for moderate
+sizes, and the gap shrinks as the chain grows.
 
 Left eigenvectors of strongly non-normal matrices are a conditioning
-trap: the right and left spectra are computed independently, and for
-chains deep in the skin regime they stop agreeing to any useful
-precision.  :func:`left_vectors` therefore matches the two spectra by
-optimal assignment and refuses (raising :class:`MatchFailure`) when
-the matched distance is worse than 1e-8, instead of silently pairing
-garbage.  Participation ratios of the left set do not need pairing at
-all, so :func:`localization_profile` works on the raw transpose
-spectrum for ``side="left"``.
+trap.  :func:`left_vectors` takes them from the one dense solve, as the
+rows of the inverse of the right eigenvector matrix, which pairs them
+biorthonormally by construction (degenerate eigenvalues included).
+Whether those rows are trustworthy is decided by the per-eigenvalue
+condition numbers ``kappa_i = |l_i| |u_i| / |l_i . u_i|``: when the
+first-order eigenvalue error bound ``eps |h|_2 max kappa_i`` exceeds
+1e-8, as it does for open skin-effect chains beyond a handful of
+cells, the pairing is refused with :class:`MatchFailure` instead of
+returning rows that are no longer left eigenvectors.  Participation
+ratios of the left set do not need pairing at all, so
+:func:`localization_profile` diagonalizes the transpose for
+``side="left"`` and works where pairing must refuse.
 """
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .bloch import BlochModel
 
@@ -47,7 +50,8 @@ __all__ = [
     "spectrum_scan",
 ]
 
-# Pairing tolerance between right-spectrum and transpose-spectrum values.
+# Largest first-order eigenvalue error bound, eps |h|_2 max_i kappa_i,
+# at which left/right pairing is still trusted.
 MATCH_TOL = 1e-8
 # Participation-ratio thresholds: extended states spread over the whole
 # chain (ipr near 1/size), localized states over a few sites.
@@ -66,8 +70,9 @@ class Boundary(Enum):
 
 
 class MatchFailure(RuntimeError):
-    """Left and right spectra cannot be paired to working precision;
-    the biorthogonal system is numerically out of reach at this size."""
+    """Left and right eigenvectors cannot be paired to working
+    precision: the eigenvector matrix is singular or so ill conditioned
+    that the biorthogonal system is numerically out of reach."""
 
 
 def build_chain(model: BlochModel, n_cells: int,
@@ -120,33 +125,38 @@ def eig_dense(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def left_vectors(h: np.ndarray, values: np.ndarray | None = None,
                  right: np.ndarray | None = None) -> np.ndarray:
-    """Left eigenvector rows paired and scaled so ``L[i] @ right[:, i] = 1``.
+    """Left eigenvector rows paired so that ``L[i] @ right[:, i] = 1``.
 
     ``values``/``right`` are the output of :func:`eig_dense` on ``h``
-    and are recomputed when omitted.  The transpose spectrum is matched
-    to ``values`` by optimal assignment on absolute distance; a matched
-    distance above ``MATCH_TOL`` or a numerically self-orthogonal pair
-    raises :class:`MatchFailure`.
+    and are recomputed when omitted.  The rows are those of
+    ``inv(right)``, biorthonormal to the right vectors by construction.
+    Each pair's condition number ``kappa_i = |l_i| |u_i| / |l_i . u_i|``
+    bounds the first-order error of eigenvalue ``i`` by
+    ``eps |h|_2 kappa_i``; when the worst bound exceeds ``MATCH_TOL``,
+    or ``right`` is singular, :class:`MatchFailure` is raised, because
+    the rows are then no longer left eigenvectors to working precision.
     """
     h = np.asarray(h, dtype=complex)
     if values is None or right is None:
-        values, right = eig_dense(h)
-    t_values, t_vectors = eig_dense(h.T)
-    cost = np.abs(np.asarray(values)[:, None] - t_values[None, :])
-    row, col = linear_sum_assignment(cost)
-    worst = float(cost[row, col].max())
-    if worst > MATCH_TOL:
+        _, right = eig_dense(h)
+    try:
+        left = np.linalg.inv(right)
+    except np.linalg.LinAlgError as exc:
         raise MatchFailure(
-            f"left/right spectra disagree by {worst:.3e} after optimal "
-            f"matching (tolerance {MATCH_TOL:.0e}); the biorthogonal "
-            f"system is not resolvable at this size")
-    left = t_vectors[:, col].T
-    overlap = np.einsum("ij,ji->i", left, right)
-    floor = (np.linalg.norm(left, axis=1)
-             * np.linalg.norm(right, axis=0) * 1e-14)
-    if np.any(np.abs(overlap) <= floor):
-        raise MatchFailure("numerically self-orthogonal left/right pair")
-    return left / overlap[:, None]
+            f"right eigenvector matrix is singular ({exc}); the "
+            f"biorthogonal system is not resolvable at this size") from exc
+    overlap = np.abs(np.einsum("ij,ji->i", left, right))
+    kappa = (np.linalg.norm(left, axis=1)
+             * np.linalg.norm(right, axis=0) / overlap)
+    worst = int(np.argmax(kappa))
+    bound = np.finfo(float).eps * np.linalg.norm(h, 2) * kappa[worst]
+    if not bound <= MATCH_TOL:
+        raise MatchFailure(
+            f"eigenvalue {worst} has condition number {kappa[worst]:.3e}, "
+            f"so its first-order error bound {bound:.3e} exceeds "
+            f"{MATCH_TOL:.0e}; the biorthogonal system is not resolvable "
+            f"at this size")
+    return left
 
 
 def ipr(vectors: np.ndarray) -> np.ndarray:
@@ -229,8 +239,11 @@ class ChainSpectrum:
     """Dense spectrum of one finite chain with its summary statistics.
 
     ``right_vectors`` columns are unit right eigenstates in eigenvalue
-    order; ``left_vectors`` rows (when computed) are the biorthogonally
-    paired left states with ``left_vectors[i] @ right_vectors[:, i] = 1``.
+    order; ``left_vectors`` rows (when computed) are the rows of the
+    inverse right eigenvector matrix, so
+    ``left_vectors[i] @ right_vectors[:, i] = 1``, computed only when
+    every eigenvalue's condition number passes the gate of
+    :func:`left_vectors`.
     Eigenvalues are sorted by (Re, Im); construction re-validates the
     ordering and the participation-ratio range.
     """
@@ -277,9 +290,9 @@ def chain_spectrum(model: BlochModel, n_cells: int,
                    with_left: bool = False) -> ChainSpectrum:
     """Build, diagonalize, and summarize one chain.
 
-    ``with_left=True`` additionally pairs left eigenvectors, which can
-    raise :class:`MatchFailure` for skin-effect chains beyond a few
-    dozen cells; everything else is pairing-free.
+    ``with_left=True`` additionally pairs left eigenvectors from the
+    same solve, which raises :class:`MatchFailure` for open skin-effect
+    chains beyond a handful of cells; everything else is pairing-free.
     """
     bc = Boundary(bc)
     h = build_chain(model, n_cells, bc)

@@ -156,6 +156,36 @@ def test_split_check_is_deterministic(lee_default):
     assert first == second
 
 
+def test_gauge_strings_match_enum(lee_default):
+    for gauge in Gauge:
+        by_enum = loop_period(lee_default, 512, gauge)
+        by_string = loop_period(lee_default, 512, gauge.value)
+        assert by_string.gauge is gauge
+        for name in ("k_grid", "energies", "states", "left_states"):
+            assert np.array_equal(getattr(by_string, name),
+                                  getattr(by_enum, name)), (gauge, name)
+        assert by_string.period == by_enum.period
+    for gauge in (Gauge.FIRST_COMPONENT_ONE, Gauge.SECOND_COMPONENT_ONE,
+                  Gauge.TRANSPOSE):
+        assert (winding_report(lee_default, gauge.value, 512, with_bands=True)
+                == winding_report(lee_default, gauge, 512, with_bands=True))
+        assert (band_winding(lee_default, Band.MINUS, gauge.value, 512)
+                == band_winding(lee_default, Band.MINUS, gauge, 512))
+        assert (split_check(lee_default, gauge.value, 512)
+                == split_check(lee_default, gauge, 512))
+
+
+def test_unknown_gauge_string_is_rejected(lee_default):
+    with pytest.raises(ValueError):
+        loop_period(lee_default, 512, "third")
+    with pytest.raises(ValueError):
+        winding_report(lee_default, "third", 512)
+    with pytest.raises(ValueError):
+        band_winding(lee_default, Band.PLUS, "third", 512)
+    with pytest.raises(ValueError):
+        split_check(lee_default, "third", 512)
+
+
 def test_quadrature_converges_on_grid_doubling():
     for model, gauge in ((lee(), Gauge.TRANSPOSE),
                          (demo(), Gauge.FIRST_COMPONENT_ONE)):

@@ -247,6 +247,23 @@ def test_eig2_input_validation():
         eig2(np.zeros((3, 3)))
 
 
+def test_eig2_gauge_strings_match_enum():
+    h = hk(lee(), 0.3)
+    for gauge in Gauge:
+        by_enum = eig2(h, gauge)
+        by_string = eig2(h, gauge.value)
+        assert by_string.gauge is gauge
+        for field in dataclasses.fields(by_enum):
+            want = getattr(by_enum, field.name)
+            got = getattr(by_string, field.name)
+            if want is None or isinstance(want, Gauge):
+                assert got is want, (gauge, field.name)
+            else:
+                assert np.array_equal(got, want), (gauge, field.name)
+    with pytest.raises(ValueError):
+        eig2(h, "third")
+
+
 def test_band_accessor_rejects_other_labels():
     sys2 = eig2(SIGMA_X)
     with pytest.raises(ValueError):

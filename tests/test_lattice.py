@@ -99,6 +99,32 @@ def test_left_vectors_match_failure_on_ill_conditioned_chain(lee_default):
         chain_spectrum(lee_default, 30, Boundary.OPEN, with_left=True)
 
 
+def test_left_vectors_pair_degenerate_hermitian_spectra():
+    # Periodic Hermitian chains carry the +-k degeneracy; the pairing
+    # must stay biorthonormal inside each degenerate pair.
+    for model, n in ((lee(gamma=0.0), 30), (lee(0.3, 0.5, 0.0), 20)):
+        spectrum = chain_spectrum(model, n, Boundary.PERIODIC,
+                                  with_left=True)
+        product = spectrum.left_vectors @ spectrum.right_vectors
+        err = np.abs(product - np.eye(2 * n)).max()
+        assert err < 1e-8, (model.label, n, err)
+
+
+def test_left_vectors_open_skin_chain_pairs_below_gate(lee_default):
+    spectrum = chain_spectrum(lee_default, 8, Boundary.OPEN, with_left=True)
+    product = spectrum.left_vectors @ spectrum.right_vectors
+    assert np.abs(product - np.eye(16)).max() < 1e-8
+
+
+def test_left_vectors_refuse_open_skin_chain_above_gate(lee_default):
+    # At 10 open cells the worst eigenvalue condition number is ~1.6e8,
+    # so eps |h|_2 kappa exceeds the 1e-8 gate; pairing must refuse
+    # rather than return rows that are off by ~1e-3.
+    h = build_chain(lee_default, 10, Boundary.OPEN)
+    with pytest.raises(MatchFailure, match="condition number"):
+        left_vectors(h)
+
+
 def test_ipr_extremes_and_classification():
     size = 60
     uniform = np.full((size, 1), 1.0 / np.sqrt(size), dtype=complex)
