@@ -8,11 +8,20 @@ biorthogonal Berry connection
 
     f(k) = <<l(k)| d/dk |u(k)>> / <<l(k)|u(k)>>
 
-along the whole closed loop, where ``l`` is the gauge's left partner:
-the row of the inverse eigenvector matrix in the component and smooth
-gauges (``l @ u = 1`` there, so the division is trivial) and the transpose of
-``u`` itself in the transpose gauge (where ``l @ u = u^T u`` genuinely
-normalizes).  The loop phase is
+along the whole closed loop.  Every gauge is a row of data in
+:class:`~nhwind.bloch.Gauge`: a reference spinor ``c`` that fixes the
+right vector as ``u = r / (c . r)``, and a pairing rule for its left
+partner ``l``:
+
+    first      c = e1                   inverse
+    second     c = e2                   inverse
+    transpose  c = e1                   transpose
+    smooth     c in REFERENCE_SPINORS   inverse
+
+Inverse pairing takes ``l`` as the row of the inverse eigenvector
+matrix (``l @ u = 1``, so the division is trivial); transpose pairing
+takes ``l = u^T`` itself (``l @ u = u^T u`` genuinely normalizes).  One
+code path serves all four gauges.  The loop phase is
 
     gamma_b = -i * integral of f over the loop, taken forward
               (increasing k),
@@ -30,15 +39,15 @@ Per-band segment integrals over a single Brillouin zone
 (:func:`split_check`) use the same orientation map ``w = -i I / pi``,
 so the two halves of a 4 pi loop sum exactly to the full loop winding.
 
-Connections in a component gauge can develop poles where the fixed
-component of the eigenvector crosses zero between grid points, and the
-transpose pairing can pass through zero the same way.  When a single
-grid sample contributes more than 0.5 to the integral the pole is
-unresolvable at any grid, and :class:`~nhwind.bloch.GaugeSingular` is
-raised rather than returning grid-dependent junk; the guard stays on in
-every gauge.  On a real-symmetric loop such as the Hermitian
-topological chain each real eigenvector component has a genuine zero,
-so every component gauge meets such a pole.  The smooth gauge
+Connections in a gauge with a fixed spinor can develop poles where
+``c . r`` crosses zero between grid points, and the transpose pairing
+can pass through zero the same way.  When a single grid sample
+contributes more than 0.5 to the integral the pole is unresolvable at
+any grid, and :class:`~nhwind.bloch.GaugeSingular` is raised rather
+than returning grid-dependent junk; the guard stays on in every gauge.
+On a real-symmetric loop such as the Hermitian topological chain each
+real eigenvector component has a genuine zero, so ``first``,
+``second`` and ``transpose`` all meet such a pole.  The smooth gauge
 (:attr:`~nhwind.bloch.Gauge.SMOOTH`, the default of :func:`loop_period`)
 pins ``c . u = 1`` for a reference spinor ``c`` chosen to stay away from
 zero along the whole tracked branch, and integrates through.  Changing
@@ -54,8 +63,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import (BlochModel, Defective, Gauge, GaugeSingular,
-                    _reference_spinor, hk, hk_derivative)
+from .bloch import (_GAUGES, GAUGE_TOL, BlochModel, Defective, Gauge,
+                    GaugeSingular, _fix_gauge, _pinned_row, hk,
+                    hk_derivative)
 
 __all__ = [
     "AmbiguousTracking",
@@ -85,7 +95,6 @@ POLE_TOL = 0.5
 # eigenvector pair closer than ~10x that floor is indistinguishable
 # from a genuinely defective sample.
 PATH_DEFECTIVE_TOL = 1e-7
-GAUGE_TOL = 1e-12
 
 
 class Band(IntEnum):
@@ -201,114 +210,14 @@ def _energy_derivative(h: np.ndarray, dh: np.ndarray, e_tracked: np.ndarray,
     return num / den
 
 
-def _free_component(h: np.ndarray, energy: np.ndarray, gauge: Gauge,
-                    ) -> np.ndarray:
-    """Gauge-fixed free component of the right eigenvector.
-
-    ``psi`` (second entry of ``u = (1, psi)``) for the first-component
-    and transpose gauges, ``phi`` (first entry of ``u = (phi, 1)``) for
-    the second-component gauge.  Each is taken from whichever matrix
-    row gives the larger denominator.
-    """
-    a, b = h[..., 0, 0], h[..., 0, 1]
-    c, d = h[..., 1, 0], h[..., 1, 1]
-    if gauge is Gauge.SECOND_COMPONENT_ONE:
-        den1, den2 = energy - a, c
-        num1, num2 = b, energy - d
-    else:
-        den1, den2 = b, energy - d
-        num1, num2 = energy - a, c
-    use1 = abs(den1) >= abs(den2)
-    den = np.where(use1, den1, den2)
-    num = np.where(use1, num1, num2)
-    norms = np.sqrt(abs(den) ** 2 + abs(num) ** 2)
-    bad = abs(den) < GAUGE_TOL * norms
-    if np.any(bad):
-        raise GaugeSingular(
-            f"gauge {gauge.value!r} component vanishes at "
-            f"{int(np.count_nonzero(bad))} loop sample(s)")
-    return num / den
-
-
-def _free_derivative(h: np.ndarray, dh: np.ndarray, energy: np.ndarray,
-                     denergy: np.ndarray, gauge: Gauge) -> np.ndarray:
-    """k-derivative of the free component, via the quotient rule on the
-    same row that :func:`_free_component` picked."""
-    a, b = h[..., 0, 0], h[..., 0, 1]
-    c, d = h[..., 1, 0], h[..., 1, 1]
-    da, db = dh[..., 0, 0], dh[..., 0, 1]
-    dc, dd = dh[..., 1, 0], dh[..., 1, 1]
-    if gauge is Gauge.SECOND_COMPONENT_ONE:
-        # phi = b/(E-a) or (E-d)/c
-        use1 = abs(energy - a) >= abs(c)
-        r1 = (db * (energy - a) - b * (denergy - da)) / (energy - a) ** 2
-        r2 = ((denergy - dd) * c - (energy - d) * dc) / c ** 2
-    else:
-        # psi = (E-a)/b or c/(E-d)
-        use1 = abs(b) >= abs(energy - d)
-        r1 = ((denergy - da) * b - (energy - a) * db) / (b * b)
-        r2 = (dc * (energy - d) - c * (denergy - dd)) / (energy - d) ** 2
-    return np.where(use1, r1, r2)
-
-
-def _gauge_vectors(free_t: np.ndarray, free_o: np.ndarray, gauge: Gauge,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Right and left vectors (u, l) per sample in the requested gauge.
-
-    ``free_t``/``free_o`` are what :func:`_tracked_segment` returns: the
-    free components in the component and transpose gauges, and in the
-    smooth gauge the normalized right vectors of the tracked branch and
-    the unit right vectors of the other one.  Component and smooth
-    gauges pair biorthonormally (``l @ u = 1`` exactly); the transpose
-    gauge stores ``l = u`` verbatim, leaving the pairing ``u^T u`` to be
-    divided out by the connection.
-    """
-    if gauge is Gauge.SMOOTH:
-        # Row of the inverse of [u, r_other]; r_other's scale cancels.
-        u, r_o = free_t, free_o
-        det = u[..., 0] * r_o[..., 1] - r_o[..., 0] * u[..., 1]
-        scale = np.linalg.norm(u, axis=-1)
-        if np.any(abs(det) < GAUGE_TOL * scale):
-            raise Defective("right vectors of the two branches coincide")
-        l = np.stack([r_o[..., 1], -r_o[..., 0]], axis=-1) / det[..., None]
-        return u, l
-    ones = np.ones_like(free_t)
-    if gauge is Gauge.SECOND_COMPONENT_ONE:
-        u = np.stack([free_t, ones], axis=-1)
-        sep = free_t - free_o
-        _check_separation(sep, free_t, free_o)
-        l = np.stack([ones, -free_o], axis=-1) / sep[..., None]
-    elif gauge is Gauge.FIRST_COMPONENT_ONE:
-        u = np.stack([ones, free_t], axis=-1)
-        sep = free_o - free_t
-        _check_separation(sep, free_t, free_o)
-        l = np.stack([free_o, -ones], axis=-1) / sep[..., None]
-    else:
-        u = np.stack([ones, free_t], axis=-1)
-        pairing = 1.0 + free_t * free_t
-        scale = 1.0 + abs(free_t) ** 2
-        if np.any(abs(pairing) < GAUGE_TOL * scale):
-            raise GaugeSingular(
-                "self-orthogonal transpose pairing on the loop")
-        l = u.copy()
-    return u, l
-
-
-def _check_separation(sep: np.ndarray, free_t: np.ndarray,
-                      free_o: np.ndarray) -> None:
-    scale = 1.0 + abs(free_t) + abs(free_o)
-    if np.any(abs(sep) < GAUGE_TOL * scale):
-        raise Defective(
-            "eigenvector components of the two branches coincide")
-
-
 def _check_diagonalizable(h: np.ndarray, e_t: np.ndarray, e_o: np.ndarray,
-                          k: np.ndarray) -> None:
+                          k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raise :class:`Defective` if branches are parallel at any sample.
 
     The determinant ratio is symmetric in the two branches, so the check
     runs on the raw (untracked) root pair and catches an exceptional
     point before branch tracking can trip over its degenerate tie.
+    Returns the unit right vectors of ``e_t`` and ``e_o``.
     """
     u_t = _raw_vectors(h, e_t)
     u_o = _raw_vectors(h, e_o)
@@ -321,6 +230,7 @@ def _check_diagonalizable(h: np.ndarray, e_t: np.ndarray, e_o: np.ndarray,
         raise Defective(
             f"non-diagonalizable point near k = {float(k[j]):.6f} "
             f"(singular-value ratio {float(ratio[j]):.2e})")
+    return u_t, u_o
 
 
 def _overlap_resolver(h: np.ndarray, e1: np.ndarray, e2: np.ndarray,
@@ -349,32 +259,27 @@ def _tracked_segment(model: BlochModel, k_inc: np.ndarray, gauge: Gauge,
 
     Shared front end of the loop and segment integrators: builds the
     Hamiltonian samples, tracks the branch with the overlap tie-break,
-    and runs the per-sample health checks.  Returns
-    ``(h, tracked, other, free_tracked, free_other, reference)``.  In the
-    component and transpose gauges the free entries are the free
-    components and ``reference`` is ``None``.  In the smooth gauge
-    ``reference`` is the spinor ``c`` picked over the tracked branch,
-    ``free_tracked`` the right vectors ``u`` with ``c @ u = 1`` and
-    ``free_other`` the unit right vectors of the other branch; no
-    component is ever divided by, so a zero component is harmless.
+    runs the per-sample health checks and fixes the gauge on the tracked
+    branch.  Returns ``(h, tracked, other, u, l, c)``: the energies of
+    both branches, the gauge-fixed right and left vectors of the tracked
+    one (see :func:`nhwind.bloch._fix_gauge`) and the spinor ``c`` with
+    ``c @ u = 1``, chosen over the tracked branch in the smooth gauge.
     """
     h = hk(model, k_inc)
     e1, e2 = _roots(h)
-    _check_diagonalizable(h, e1, e2, k_inc)
+    r1, r2 = _check_diagonalizable(h, e1, e2, k_inc)
     try:
         e_t, e_o = _track_branches(e1, e2, start_band,
                                    _overlap_resolver(h, e1, e2))
     except AmbiguousTracking as exc:
         raise AmbiguousTracking(f"{exc} (of {k_inc.size} samples on "
                                 f"[0, {k_inc[-1]:.6f}])") from exc
-    if gauge is Gauge.SMOOTH:
-        r_t = _raw_vectors(h, e_t)
-        reference = _reference_spinor(r_t)
-        u_t = r_t / (r_t @ reference)[..., None]
-        return h, e_t, e_o, u_t, _raw_vectors(h, e_o), reference
-    free_t = _free_component(h, e_t, gauge)
-    free_o = _free_component(h, e_o, gauge)
-    return h, e_t, e_o, free_t, free_o, None
+    # The tracker copies each energy from e1 or e2, so equality tells
+    # which root's unit vector the branch took at every sample.
+    swap = e_t != e1
+    r1[swap], r2[swap] = r2[swap], r1[swap]
+    u, l, c = _fix_gauge(h, e_t, e_o, r1, r2, gauge)
+    return h, e_t, e_o, u, l, c
 
 
 @dataclass(frozen=True)
@@ -386,14 +291,14 @@ class LoopTrajectory:
     ``CLOSURE_TOL`` (that mismatch is recorded as ``closure_error``).
     ``states`` holds the gauge-fixed right vectors and ``left_states``
     their left partners: rows of the inverse eigenvector matrix in the
-    component and smooth gauges, the right vectors themselves
-    (transpose pairing) in the transpose gauge.  ``reference`` is the
-    smooth gauge's spinor ``c`` (``c @ u = 1`` at every sample) and
-    ``None`` in the other gauges.  Construction re-validates continuity
-    (each step stays on the nearest branch up to the tracking tie band),
-    the left/right pairing rule of the gauge, the smooth-gauge
-    normalization, and closure; violations raise ``ValueError`` or
-    :class:`NoClosure`.
+    gauges with inverse pairing, the right vectors themselves in the
+    transpose gauge.  ``reference`` is the smooth gauge's spinor ``c``
+    (``c @ u = 1`` at every sample) and ``None`` in the other gauges,
+    whose spinor the gauge itself fixes.  Construction re-validates
+    continuity (each step stays on the nearest branch up to the tracking
+    tie band), the left/right pairing rule of the gauge, the
+    normalization ``c @ u = 1`` in every gauge, and closure; violations
+    raise ``ValueError`` or :class:`NoClosure`.
     """
 
     model: BlochModel
@@ -420,6 +325,7 @@ class LoopTrajectory:
         if not (e_t.shape == e_o.shape == (m,) and u.shape == l.shape == (m, 2)):
             raise ValueError("sample arrays have inconsistent shapes")
         object.__setattr__(self, "start_band", Band(self.start_band))
+        object.__setattr__(self, "gauge", Gauge(self.gauge))
         if not (self.period > 0 and abs(k[0]) <= 1e-12):
             raise ValueError("loop must start at k = 0 with positive period")
         step = self.period / m
@@ -435,14 +341,15 @@ class LoopTrajectory:
             raise ValueError("stored samples are not a continuously "
                              "tracked branch")
         pairing = np.einsum("mi,mi->m", l, u)
-        if self.gauge is Gauge.TRANSPOSE:
+        if _GAUGES[self.gauge][1]:
             if not np.array_equal(l, u):
                 raise ValueError("transpose-gauge loops store left_states "
                                  "equal to states verbatim")
             norms_sq = np.sum(np.abs(u) ** 2, axis=-1)
             if np.any(np.abs(pairing) < GAUGE_TOL * norms_sq):
                 raise GaugeSingular(
-                    "stored loop contains a self-orthogonal sample")
+                    f"gauge {self.gauge.value!r}: stored loop contains a "
+                    f"self-orthogonal transpose pairing")
         elif np.max(np.abs(pairing - 1.0)) > 1e-9:
             raise ValueError("stored left/right pairs are not "
                              "biorthonormalized")
@@ -452,12 +359,12 @@ class LoopTrajectory:
                 raise ValueError("smooth-gauge loops record their "
                                  "reference spinor as a 2-vector")
             c = np.asarray(c, dtype=complex)
-            if np.max(np.abs(u @ c - 1.0)) > 1e-9:
-                raise ValueError("stored states are not normalized to "
-                                 "c @ u = 1")
         elif c is not None:
             raise ValueError("only smooth-gauge loops carry a reference "
                              "spinor")
+        if np.max(np.abs(u @ _spinor(self.gauge, c) - 1.0)) > 1e-9:
+            raise ValueError("stored states are not normalized to "
+                             "c @ u = 1")
         if not (np.isfinite(self.closure_error)
                 and self.closure_error >= 0.0):
             raise ValueError("closure_error must be a non-negative number")
@@ -484,6 +391,12 @@ class LoopTrajectory:
         return self.period / self.k_grid.size
 
 
+def _spinor(gauge: Gauge, reference: np.ndarray | None) -> np.ndarray:
+    """The ``c`` with ``c @ u = 1``: the recorded ``reference`` in the
+    smooth gauge, the gauge's one fixed spinor in the others."""
+    return _GAUGES[gauge][0][0] if reference is None else reference
+
+
 def loop_period(model: BlochModel, grid_size: int = 8192,
                 gauge: Gauge = Gauge.SMOOTH,
                 start_band: Band = Band.PLUS) -> LoopTrajectory:
@@ -496,9 +409,8 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
     reference spinor over each probe's tracked samples and records it
     as the trajectory's ``reference``; it integrates loops such as the
     Hermitian topological chain on which every component gauge has a
-    pole.  Closure compares the energy and the gauge-fixed state (the
-    free component, or ``u`` itself in the smooth gauge).  Raises
-    :class:`NoClosure` if the state does not return after two zones,
+    pole.  Closure compares the energy and the gauge-fixed state ``u``.
+    Raises :class:`NoClosure` if the state does not return after two zones,
     :class:`AmbiguousTracking` on an unresolvable branch tie, and
     :class:`~nhwind.bloch.Defective` /
     :class:`~nhwind.bloch.GaugeSingular` on per-sample pathologies.
@@ -513,66 +425,55 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
     for zones in (1, 2):
         m = zones * grid_size
         k_inc = np.arange(m + 1) * step
-        _, e_t, e_o, free_t, free_o, reference = _tracked_segment(
-            model, k_inc, gauge, start_band)
+        _, e_t, e_o, u, l, c = _tracked_segment(model, k_inc, gauge,
+                                                start_band)
         err_e = abs(e_t[-1] - e_t[0]) / max(1.0, abs(e_t[0]))
-        # Largest entry: the free component itself, or a component of u.
-        err_f = (np.max(abs(free_t[-1] - free_t[0]))
-                 / max(1.0, np.max(abs(free_t[0]))))
-        closure = float(max(err_e, err_f))
+        err_u = np.max(abs(u[-1] - u[0])) / max(1.0, np.max(abs(u[0])))
+        closure = float(max(err_e, err_u))
         if closure <= CLOSURE_TOL:
-            u, l = _gauge_vectors(free_t[:-1], free_o[:-1], gauge)
             return LoopTrajectory(
                 model=model, gauge=gauge, start_band=start_band,
                 period=zones * 2.0 * np.pi, k_grid=k_inc[:-1],
                 energies=e_t[:-1], energies_other=e_o[:-1],
-                states=u, left_states=l, closure_error=closure,
-                reference=reference)
+                states=u[:-1], left_states=l[:-1], closure_error=closure,
+                reference=c if gauge is Gauge.SMOOTH else None)
     raise NoClosure(
         f"branch of {model.label} fails to close after two Brillouin "
         f"zones (final mismatch {closure:.3e})")
 
 
 def _analytic_du(model: BlochModel, k: np.ndarray, h: np.ndarray,
-                 e_t: np.ndarray, e_o: np.ndarray, gauge: Gauge,
-                 reference: np.ndarray | None = None) -> np.ndarray:
-    """d u / d k per sample: quotient rule on the free component, or on
-    ``u = r / (c @ r)`` in the smooth gauge (``reference`` is ``c``)."""
+                 e_t: np.ndarray, e_o: np.ndarray, reference: np.ndarray,
+                 ) -> np.ndarray:
+    """d u / d k per sample in any gauge: the quotient rule on
+    ``u = r / (c @ r)`` with ``c = reference``."""
     dh = hk_derivative(model, k)
     de = _energy_derivative(h, dh, e_t, e_o)
-    if gauge is Gauge.SMOOTH:
-        return _smooth_derivative(h, dh, e_t, de, reference)
-    dfree = _free_derivative(h, dh, e_t, de, gauge)
-    zeros = np.zeros_like(dfree)
-    if gauge is Gauge.SECOND_COMPONENT_ONE:
-        return np.stack([dfree, zeros], axis=-1)
-    return np.stack([zeros, dfree], axis=-1)
+    return _smooth_derivative(h, dh, e_t, de, reference)
 
 
 def _smooth_derivative(h: np.ndarray, dh: np.ndarray, energy: np.ndarray,
                        denergy: np.ndarray, reference: np.ndarray,
                        ) -> np.ndarray:
-    """k-derivative of ``u = r / (c @ r)``, where ``r`` is the raw row
-    null vector ``(b, E - a)`` or ``(E - d, c)``, whichever is longer:
+    """k-derivative of ``u = r / (c @ r)``, where ``r`` is the row null
+    vector ``(b, E - a)`` or ``(E - d, c)`` that
+    :func:`~nhwind.bloch._pinned_row` picks:
 
         du = (r' (c @ r) - r (c @ r')) / (c @ r)^2.
 
     Both rows give the same ``u``, so the choice of row cancels out.
+    ``c @ u = 1`` along the path, so ``c @ du = 0``; the last step
+    restores that to round-off, which keeps the derivative of a pinned
+    basis component exactly 0.
     """
-    a, b = h[..., 0, 0], h[..., 0, 1]
-    c, d = h[..., 1, 0], h[..., 1, 1]
-    da, db = dh[..., 0, 0], dh[..., 0, 1]
-    dc, dd = dh[..., 1, 0], dh[..., 1, 1]
-    r1 = np.stack([b, energy - a], axis=-1)
-    r2 = np.stack([energy - d, c], axis=-1)
-    use1 = (np.linalg.norm(r1, axis=-1) >= np.linalg.norm(r2, axis=-1))
-    r = np.where(use1[..., None], r1, r2)
-    dr = np.where(use1[..., None],
-                  np.stack([db, denergy - da], axis=-1),
-                  np.stack([denergy - dd, dc], axis=-1))
-    cr = (r @ reference)[..., None]
-    cdr = (dr @ reference)[..., None]
-    return (dr * cr - r * cdr) / (cr * cr)
+    r, cr, use1 = _pinned_row(h, energy, reference)
+    dr = np.stack([np.where(use1, dh[..., 0, 1], denergy - dh[..., 1, 1]),
+                   np.where(use1, denergy - dh[..., 0, 0], dh[..., 1, 0])],
+                  axis=-1)
+    cr = cr[..., None]
+    du = (dr * cr - r * (dr @ reference)[..., None]) / (cr * cr)
+    du -= np.multiply.outer(du @ reference, reference.conj())
+    return du
 
 
 def _connection_samples(traj: LoopTrajectory, derivative: str) -> np.ndarray:
@@ -581,7 +482,8 @@ def _connection_samples(traj: LoopTrajectory, derivative: str) -> np.ndarray:
     if derivative == "analytic":
         h = hk(traj.model, traj.k_grid)
         du = _analytic_du(traj.model, traj.k_grid, h, traj.energies,
-                          traj.energies_other, traj.gauge, traj.reference)
+                          traj.energies_other,
+                          _spinor(traj.gauge, traj.reference))
     elif derivative == "fd4":
         u = traj.states
         du = (-np.roll(u, -2, axis=0) + 8.0 * np.roll(u, -1, axis=0)
@@ -614,12 +516,12 @@ def berry_phase(traj: LoopTrajectory, derivative: str = "analytic",
 
     Uses the periodic trapezoid rule (a plain sample mean times the
     period) on the closed loop.  The default analytic derivative
-    applies the quotient rule to the gauge-fixed eigenvector component,
-    with the branch energy derivative from a biorthogonal sandwich of
-    d h/d k; the ``fd4`` alternative differentiates the stored vectors
-    with a five-point stencil wrapped around the loop.  Either way the
-    connection divides by the stored left/right pairing, so the
-    transpose gauge needs no extra normalization step.
+    applies the quotient rule on ``u = r/(c·r)``, the same formula in
+    every gauge, with the branch energy derivative from a biorthogonal
+    sandwich of d h/d k; the ``fd4`` alternative differentiates the
+    stored vectors with a five-point stencil wrapped around the loop.
+    Either way the connection divides by the stored left/right pairing,
+    so the transpose gauge needs no extra normalization step.
     """
     f = _connection_samples(traj, derivative)
     forward = traj.step * complex(np.sum(f))
@@ -640,9 +542,13 @@ def winding_lee(traj: LoopTrajectory, lee_normalization: float,
     whenever the true closure period is not ``2 pi * lee_normalization``;
     this op exists to make that mismatch explicit.
     """
+    return _per_zone(winding_number(berry_phase(traj, derivative)),
+                     lee_normalization)
+
+
+def _per_zone(w: complex, lee_normalization: float) -> complex:
     if lee_normalization == 0:
         raise ValueError("lee_normalization must be nonzero")
-    w = winding_number(berry_phase(traj, derivative=derivative))
     return w / lee_normalization
 
 
@@ -663,12 +569,10 @@ def band_winding(model: BlochModel, band: Band = Band.PLUS,
     gauge = Gauge(gauge)
     step = 2.0 * np.pi / grid_size
     k_inc = np.arange(grid_size + 1) * step
-    h, e_t, e_o, free_t, free_o, reference = _tracked_segment(
-        model, k_inc, gauge, band)
-    u, l = _gauge_vectors(free_t, free_o, gauge)
+    h, e_t, e_o, u, l, c = _tracked_segment(model, k_inc, gauge, band)
 
     if derivative == "analytic":
-        du = _analytic_du(model, k_inc, h, e_t, e_o, gauge, reference)
+        du = _analytic_du(model, k_inc, h, e_t, e_o, c)
     elif derivative == "fd4":
         du = _fd4_segment(u, step)
     else:
@@ -789,7 +693,7 @@ def winding_report(model: BlochModel, gauge: Gauge = Gauge.TRANSPOSE,
     w = winding_number(gamma_b)
     w_lee = None
     if lee_normalization is not None:
-        w_lee = winding_lee(traj, lee_normalization, derivative=derivative)
+        w_lee = _per_zone(w, lee_normalization)
     w_plus = w_minus = None
     if with_bands:
         w_plus = band_winding(model, Band.PLUS, gauge, grid_size, derivative)

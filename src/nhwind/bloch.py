@@ -9,11 +9,13 @@ The blocks may be non-Hermitian, so left and right eigenvectors differ
 and the spectrum is generally complex.  Everything downstream (Berry
 phases, winding numbers, finite chains) is built on the closed-form
 2x2 eigensystem provided here, with eigenvectors fixed in an explicit
-gauge rather than by norm.  Component gauges break down at isolated
-momenta where the fixed component vanishes; those points are reported
-as :class:`GaugeSingular` instead of being smoothed over.  The smooth
-gauge pins a reference-spinor projection instead, chosen from a small
-fixed set so that it stays away from zero.
+gauge rather than by norm.  Every gauge pins ``c . u = 1`` for a
+reference spinor ``c`` and pairs ``u`` with a left vector by one of two
+rules; the gauges differ only in that data (see :class:`Gauge`).  A
+gauge with a single pinned spinor breaks down at isolated momenta where
+``c . r`` vanishes for the right eigenvector ``r``; those points are
+reported as :class:`GaugeSingular` instead of being smoothed over.  The smooth gauge chooses ``c`` from a
+small fixed set so that it stays away from zero.
 """
 from __future__ import annotations
 
@@ -57,12 +59,13 @@ DEFECTIVE_TOL = 1e-10
 
 
 class GaugeSingular(RuntimeError):
-    """A component gauge cannot be imposed at this momentum.
+    """A gauge cannot be imposed at this momentum.
 
-    Raised when the component that a gauge pins to one vanishes, when
-    the transpose pairing ``u^T u`` vanishes (self-orthogonal state),
-    or when a Berry connection develops a pole that no grid can
-    resolve.
+    Raised when the spinor a gauge pins ``c . u = 1`` with vanishes on a
+    state (in the smooth gauge: when every candidate does), when the
+    transpose pairing ``u^T u`` vanishes (self-orthogonal state), or
+    when a Berry connection develops a pole that no grid can resolve.
+    The message names the gauge and which of these causes applies.
     """
 
 
@@ -74,34 +77,43 @@ class Defective(RuntimeError):
 class Gauge(Enum):
     """Eigenvector normalization conventions.
 
-    ``FIRST_COMPONENT_ONE``
-        Right vector ``u = (1, psi)``; left vector from the inverse of
-        the eigenvector matrix, so ``l @ u = 1`` biorthogonally.
-    ``SECOND_COMPONENT_ONE``
-        Right vector ``u = (phi, 1)`` with ``phi = 1/psi``; left vector
-        again biorthogonal.
-    ``TRANSPOSE``
-        Right vector ``u = (1, psi)`` and left vector ``l = u^T``
-        verbatim (no conjugate, no rescaling), so ``l @ u = u^T u``
-        is not 1 and every pairing-normalized quantity must divide by
-        it explicitly.  ``u^T`` is a true left eigenvector only for
-        complex-symmetric ``h``; the pairing can also vanish outright
-        (self-orthogonal state), which raises :class:`GaugeSingular`.
-    ``SMOOTH``
-        Right vector ``u = r / (c . r)`` with the bilinear (unconjugated)
-        product, so ``c . u = 1`` for a reference spinor ``c``; left
-        vector biorthogonal as in the component gauges.  ``c`` is the
-        first of ``REFERENCE_SPINORS`` (e1, e2, (1, i), (1, -i), (1, 1),
-        (1, -1), normalized) that maximizes the smallest ``|c . r|``
-        over the unit right vectors ``r`` it must normalize, with
-        scores within a relative ``REFERENCE_TIE_TOL`` counted as ties.
-        With ``c = e1`` it equals ``FIRST_COMPONENT_ONE``.  It stays
-        regular where a real eigenvector component passes through zero
-        (the Hermitian topological chain), and raises
-        :class:`GaugeSingular` only when every candidate vanishes
-        somewhere.  A different ``c`` can shift a loop winding by an
-        even integer, so only ``w mod 2`` is gauge invariant; the
-        candidate order is the convention that fixes ``w`` itself.
+    A gauge is a row of data: the reference spinors ``c`` it may pin
+    ``c . u = 1`` with (bilinear, unconjugated product, so the right
+    vector is ``u = r / (c . r)`` for any right eigenvector ``r``), and
+    the rule that pairs ``u`` with its left vector ``l``:
+
+    =========================  =====================  =========
+    gauge                      reference spinors      pairing
+    =========================  =====================  =========
+    ``FIRST_COMPONENT_ONE``    ``e1``                 inverse
+    ``SECOND_COMPONENT_ONE``   ``e2``                 inverse
+    ``TRANSPOSE``              ``e1``                 transpose
+    ``SMOOTH``                 ``REFERENCE_SPINORS``  inverse
+    =========================  =====================  =========
+
+    So ``first`` gives ``u = (1, psi)``, ``second`` gives
+    ``u = (phi, 1)`` and ``transpose`` again ``u = (1, psi)``.
+
+    *Inverse* pairing takes ``l`` as the row of the inverse eigenvector
+    matrix, so ``l @ u = 1`` biorthogonally.  *Transpose* pairing takes
+    ``l = u^T`` verbatim (no conjugate, no rescaling), so ``l @ u =
+    u^T u`` is not 1 and every pairing-normalized quantity must divide
+    by it explicitly.  ``u^T`` is a true left eigenvector only for
+    complex-symmetric ``h``; the pairing can also vanish outright
+    (self-orthogonal state), which raises :class:`GaugeSingular`.
+
+    A gauge with several candidates picks the first of them (for
+    ``SMOOTH``: e1, e2, (1, i), (1, -i), (1, 1), (1, -1), normalized)
+    that maximizes the smallest ``|c . r|`` over the unit right vectors
+    ``r`` it must normalize, with scores within a relative
+    ``REFERENCE_TIE_TOL`` counted as ties; where ``e1`` wins it equals
+    ``FIRST_COMPONENT_ONE``.  The smooth gauge stays regular where a
+    real eigenvector component passes through zero (the Hermitian
+    topological chain), and raises :class:`GaugeSingular` only when
+    every candidate vanishes somewhere.  A different ``c`` can shift a
+    loop winding by an even integer, so only ``w mod 2`` is gauge
+    invariant; the candidate order is the convention that fixes ``w``
+    itself.
     """
 
     FIRST_COMPONENT_ONE = "first"
@@ -110,23 +122,111 @@ class Gauge(Enum):
     SMOOTH = "smooth"
 
 
-def _reference_spinor(unit: np.ndarray) -> np.ndarray:
-    """Smooth-gauge reference spinor for a set of unit right vectors.
+# The gauges as data: (reference spinor candidates, transpose pairing).
+_GAUGES = {
+    Gauge.FIRST_COMPONENT_ONE: (REFERENCE_SPINORS[:1], False),
+    Gauge.SECOND_COMPONENT_ONE: (REFERENCE_SPINORS[1:2], False),
+    Gauge.TRANSPOSE: (REFERENCE_SPINORS[:1], True),
+    Gauge.SMOOTH: (REFERENCE_SPINORS, False),
+}
 
-    ``unit`` has shape ``(..., 2)``.  Returns the candidate ``c`` of
-    ``REFERENCE_SPINORS`` with the largest ``min |c . unit|`` (earliest
-    wins among ties), or raises :class:`GaugeSingular` when even that
-    minimum is below ``GAUGE_TOL``.
+
+def _reference_spinor(unit: np.ndarray,
+                      candidates: np.ndarray = REFERENCE_SPINORS,
+                      ) -> np.ndarray:
+    """Reference spinor for a set of unit right vectors.
+
+    ``unit`` has shape ``(..., 2)``.  Returns the row of ``candidates``
+    with the largest ``min |c . unit|`` (earliest wins among ties), or
+    raises :class:`GaugeSingular` when even that minimum is below
+    ``GAUGE_TOL``.
     """
     unit = np.asarray(unit, dtype=complex).reshape(-1, 2)
-    scores = np.min(np.abs(unit @ REFERENCE_SPINORS.T), axis=0)
+    scores = np.min(np.abs(unit @ candidates.T), axis=0)
     best = float(np.max(scores))
     if best < GAUGE_TOL:
-        raise GaugeSingular(
-            f"every reference spinor of the smooth gauge vanishes on "
-            f"these states (best smallest projection {best:.2e})")
+        what = ("its pinned spinor vanishes" if len(candidates) == 1
+                else "every candidate reference spinor vanishes")
+        raise GaugeSingular(f"{what} on these states (best smallest "
+                            f"projection {best:.2e})")
     pick = int(np.argmax(scores >= best * (1.0 - REFERENCE_TIE_TOL)))
-    return REFERENCE_SPINORS[pick]
+    return candidates[pick]
+
+
+def _pinned_row(h: np.ndarray, energy: np.ndarray, c: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per sample, the row null vector ``r`` of ``h - E`` that ``c``
+    normalizes: ``(b, E - a)`` where ``use1``, else ``(E - d, c)``.
+
+    The two rows are parallel, so ``r / (c @ r)`` does not depend on the
+    choice; taking the larger ``|c @ r|`` keeps it well conditioned.
+    Returns ``(r, c @ r, use1)``.
+    """
+    a, b = h[..., 0, 0], h[..., 0, 1]
+    hc, d = h[..., 1, 0], h[..., 1, 1]
+    c0, c1 = c
+    ea, ed = energy - a, energy - d
+    cr1, cr2 = c0 * b + c1 * ea, c0 * ed + c1 * hc
+    use1 = abs(cr1) >= abs(cr2)
+    r = np.stack([np.where(use1, b, ed), np.where(use1, ea, hc)], axis=-1)
+    return r, np.where(use1, cr1, cr2), use1
+
+
+def _pin(h: np.ndarray, energy: np.ndarray, unit: np.ndarray, gauge: Gauge,
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """Right eigenvectors ``u`` of ``h`` at ``energy`` with ``c @ u = 1``
+    in ``gauge``, and ``c``.
+
+    ``c`` is picked from the gauge's candidates over ``unit``, the same
+    eigenvectors at unit norm (shape ``(..., 2)``), and ``u = r /
+    (c @ r)`` with ``r`` from :func:`_pinned_row`.  The last step
+    restores ``c @ u = 1`` to round-off, which keeps a pinned basis
+    component exactly 1.
+    """
+    try:
+        c = _reference_spinor(unit, _GAUGES[gauge][0])
+    except GaugeSingular as exc:
+        raise GaugeSingular(f"gauge {gauge.value!r}: {exc}") from exc
+    r, cr, _ = _pinned_row(h, energy, c)
+    u = r / cr[..., None]
+    u += np.multiply.outer(1.0 - u @ c, c.conj())
+    return u, c
+
+
+def _fix_gauge(h: np.ndarray, energy: np.ndarray, other: np.ndarray,
+               unit: np.ndarray, unit_other: np.ndarray, gauge: Gauge,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Right vectors, left vectors and reference spinor in ``gauge``.
+
+    ``h`` holds 2x2 matrices, shape ``(..., 2, 2)``, ``energy`` the
+    eigenvalue to fix at each and ``other`` the other one; ``unit`` and
+    ``unit_other`` are their right eigenvectors at unit norm.  Returns
+    ``(u, l, c)``: ``u`` pinned by :func:`_pin`, and ``l`` either ``u``
+    itself (transpose pairing; :class:`GaugeSingular` if ``u^T u``
+    vanishes) or the adjugate row of ``[u, o]`` over its determinant,
+    with ``o`` the other branch pinned as well (inverse pairing;
+    :class:`Defective` if the determinant vanishes).
+    """
+    u, c = _pin(h, energy, unit, gauge)
+    if _GAUGES[gauge][1]:
+        pairing = np.einsum("...i,...i->...", u, u)
+        bad = abs(pairing) < GAUGE_TOL * np.sum(abs(u) ** 2, axis=-1)
+        if np.any(bad):
+            raise GaugeSingular(
+                f"gauge {gauge.value!r}: self-orthogonal transpose "
+                f"pairing u^T u = 0 at {int(np.count_nonzero(bad))} "
+                f"state(s)")
+        return u, u.copy(), c
+    # o's scale cancels in l.  Pinning it like u gives the component
+    # gauges' closed form (psi_o, -1) / (psi_o - psi) to the last bit;
+    # the smooth gauge picks o's spinor over the other branch itself.
+    o, _ = _pin(h, other, unit_other, gauge)
+    p, q = u[..., 0] * o[..., 1], o[..., 0] * u[..., 1]
+    det = p - q
+    if np.any(abs(det) < GAUGE_TOL * (abs(p) + abs(q))):
+        raise Defective("right vectors of the two branches coincide")
+    l = np.stack([o[..., 1], -o[..., 0]], axis=-1) / det[..., None]
+    return u, l, c
 
 
 def _locked(a: np.ndarray) -> np.ndarray:
@@ -217,13 +317,13 @@ class EigenSystem2:
     """Closed-form eigensystem of one 2x2 Hamiltonian.
 
     ``u_plus``/``u_minus`` are right eigenvectors in the requested
-    gauge.  In the component gauges, ``l_plus``/``l_minus`` are the
-    rows of the inverse eigenvector matrix, so ``l @ u = 1`` on the
-    same branch (exactly, by construction) and ``l @ u = 0`` across
-    branches; the smooth gauge pairs the same way.  In the transpose
-    gauge ``l`` is the transpose of ``u`` verbatim and carries no
-    normalization.  ``reference`` is the smooth gauge's spinor ``c``
-    (``c @ u = 1`` on both bands) and ``None`` in the other gauges.
+    gauge.  In the gauges with inverse pairing, ``l_plus``/``l_minus``
+    are the rows of the inverse eigenvector matrix, so ``l @ u = 1`` on
+    the same branch and ``l @ u = 0`` across branches.  In the
+    transpose gauge ``l`` is the transpose of ``u`` verbatim and carries
+    no normalization.  ``reference`` is the smooth gauge's spinor ``c``
+    (``c @ u = 1`` on both bands) and ``None`` in the other gauges,
+    whose spinor is fixed.
     """
 
     e_plus: complex
@@ -278,9 +378,10 @@ def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem
     root, ``E = m +- sqrt(m^2 - det h)``.  Degenerate-but-diagonalizable
     points (scalar matrices) are fine; coinciding eigenvectors raise
     :class:`Defective` before any gauge normalization is attempted, and
-    a vanishing gauge component raises :class:`GaugeSingular`.  The
-    smooth gauge picks its reference spinor for this matrix alone, over
-    both eigenvectors.
+    a vanishing pinned projection ``c . u`` or transpose pairing raises
+    :class:`GaugeSingular`.  The gauge's spinor ``c`` must hold on both
+    eigenvectors, so the smooth gauge picks it for this matrix alone,
+    over both.
     """
     gauge = Gauge(gauge)
     h = np.asarray(h, dtype=complex)
@@ -296,12 +397,16 @@ def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem
     e_minus = (a + d) - e_plus
 
     scale = np.linalg.norm(h)
+    # The gauge takes the eigenvectors as row null vectors of this
+    # matrix at these eigenvalues.
+    vectors_of, roots = h, np.array([e_plus, e_minus])
     if np.linalg.norm(h - m * np.eye(2)) <= 1e-14 * max(scale, 1.0):
         # Scalar matrix: degenerate but diagonalizable.  Any basis is an
-        # eigenbasis; the symmetric choice (1, 1), (1, -1) satisfies
-        # every gauge here, including the transpose pairing.
-        raw_plus = np.array([1.0, 1.0], dtype=complex)
-        raw_minus = np.array([1.0, -1.0], dtype=complex)
+        # eigenbasis; sigma_x's, (1, 1) and (1, -1), satisfies every
+        # gauge here, including the transpose pairing.
+        vectors_of, roots = SIGMA_X, np.array([1.0, -1.0], dtype=complex)
+        up = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+        um = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
     else:
         raw_plus = _raw_pair(h, e_plus)
         raw_minus = _raw_pair(h, e_minus)
@@ -317,34 +422,10 @@ def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem
                 f"eigenvectors are parallel "
                 f"(ratio {abs(det_norm) / smax_sq:.2e})")
 
-    reference = None
-    if gauge is Gauge.SMOOTH:
-        reference = _reference_spinor(
-            [raw_plus / np.linalg.norm(raw_plus),
-             raw_minus / np.linalg.norm(raw_minus)])
-        u_plus = raw_plus / (reference @ raw_plus)
-        u_minus = raw_minus / (reference @ raw_minus)
-    else:
-        fixed = 0 if gauge in (Gauge.FIRST_COMPONENT_ONE,
-                               Gauge.TRANSPOSE) else 1
-        for raw in (raw_plus, raw_minus):
-            if abs(raw[fixed]) < GAUGE_TOL * np.linalg.norm(raw):
-                raise GaugeSingular(
-                    f"component {fixed} vanishes; gauge {gauge.value!r} "
-                    "is singular here")
-        u_plus = raw_plus / raw_plus[fixed]
-        u_minus = raw_minus / raw_minus[fixed]
-
-    if gauge is Gauge.TRANSPOSE:
-        for u in (u_plus, u_minus):
-            if abs(u @ u) < GAUGE_TOL * (np.linalg.norm(u) ** 2):
-                raise GaugeSingular("self-orthogonal transpose pairing")
-        l_plus = u_plus.copy()
-        l_minus = u_minus.copy()
-    else:
-        det_v = u_plus[0] * u_minus[1] - u_minus[0] * u_plus[1]
-        l_plus = np.array([u_minus[1], -u_minus[0]], dtype=complex) / det_v
-        l_minus = np.array([-u_plus[1], u_plus[0]], dtype=complex) / det_v
-
+    unit = np.stack([up, um])
+    (u_plus, u_minus), (l_plus, l_minus), spinor = _fix_gauge(
+        np.stack([vectors_of, vectors_of]), roots, roots[::-1], unit,
+        unit[::-1], gauge)
+    reference = spinor if gauge is Gauge.SMOOTH else None
     return EigenSystem2(complex(e_plus), complex(e_minus),
                         u_plus, u_minus, l_plus, l_minus, gauge, reference)

@@ -277,13 +277,15 @@ def test_reference_spinor_refuses_when_every_candidate_vanishes():
     path = np.array([[0, 1], [1, 0], [1, 1j], [1, -1j], [1, -1], [1, 1]],
                     dtype=complex)
     path /= np.linalg.norm(path, axis=-1, keepdims=True)
-    with pytest.raises(GaugeSingular):
+    with pytest.raises(GaugeSingular,
+                       match="every candidate reference spinor vanishes"):
         _reference_spinor(path)
     assert np.array_equal(_reference_spinor(path[:5]), REFERENCE_SPINORS[5])
 
 
 def test_demo_transpose_pairing_fails_on_loop(demo_model):
-    with pytest.raises(GaugeSingular):
+    with pytest.raises(GaugeSingular, match="gauge 'transpose': "
+                       "self-orthogonal transpose pairing"):
         loop_period(demo_model, 4096, Gauge.TRANSPOSE)
 
 
@@ -378,3 +380,13 @@ def test_trajectory_component_gauge_pairing_check(lee_default):
     assert traj.reference is None
     with pytest.raises(ValueError):
         dataclasses.replace(traj, reference=REFERENCE_SPINORS[0])
+    # Doubled states with matching left vectors keep the pairing rule
+    # but break c @ u = 1 for the gauge's fixed spinor.
+    for gauge in (Gauge.FIRST_COMPONENT_ONE, Gauge.SECOND_COMPONENT_ONE,
+                  Gauge.TRANSPOSE):
+        traj = loop_period(lee_default, 512, gauge)
+        u = 2.0 * np.array(traj.states)
+        left = (u if gauge is Gauge.TRANSPOSE
+                else np.array(traj.left_states) / 2.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(traj, states=u, left_states=left)

@@ -175,7 +175,8 @@ def test_eig2_transpose_left_eigenvector_for_symmetric_h():
 
 
 def test_eig2_transpose_self_orthogonal_raises():
-    with pytest.raises(GaugeSingular):
+    with pytest.raises(GaugeSingular, match="gauge 'transpose': "
+                       "self-orthogonal transpose pairing"):
         eig2(hk(demo(), np.pi / 2), Gauge.TRANSPOSE)
 
 
@@ -188,12 +189,11 @@ def test_eig2_defective_raises():
 
 
 def test_eig2_gauge_singular_on_vanishing_component():
-    with pytest.raises(GaugeSingular):
-        eig2(SIGMA_Z, Gauge.FIRST_COMPONENT_ONE)
-    with pytest.raises(GaugeSingular):
-        eig2(SIGMA_Z, Gauge.SECOND_COMPONENT_ONE)
-    with pytest.raises(GaugeSingular):
-        eig2(SIGMA_Z, Gauge.TRANSPOSE)
+    for gauge in (Gauge.FIRST_COMPONENT_ONE, Gauge.SECOND_COMPONENT_ONE,
+                  Gauge.TRANSPOSE):
+        with pytest.raises(GaugeSingular, match=f"gauge '{gauge.value}': "
+                           "its pinned spinor vanishes"):
+            eig2(SIGMA_Z, gauge)
 
 
 def test_eig2_smooth_gauge_regular_where_components_vanish():
