@@ -21,7 +21,10 @@ partner ``l``:
 Inverse pairing takes ``l`` as the row of the inverse eigenvector
 matrix (``l @ u = 1``, so the division is trivial); transpose pairing
 takes ``l = u^T`` itself (``l @ u = u^T u`` genuinely normalizes).  One
-code path serves all four gauges.  The loop phase is
+code path serves all four gauges, and the closed-form eigensystem under
+it (roots, eigenvectors, the exceptional-point ratio and ``dE/dk``) is
+:mod:`nhwind.bloch`'s, the same one :func:`~nhwind.bloch.eig2` uses.
+The loop phase is
 
     gamma_b = -i * integral of f over the loop, taken forward
               (increasing k),
@@ -64,8 +67,9 @@ from typing import Callable
 import numpy as np
 
 from .bloch import (_GAUGES, GAUGE_TOL, BlochModel, Defective, Gauge,
-                    GaugeSingular, _fix_gauge, _pinned_row, hk,
-                    hk_derivative)
+                    GaugeSingular, _energy_derivative, _fix_gauge,
+                    _null_rows, _parallelism, _pinned_row, _roots,
+                    _unit_vectors, hk, hk_derivative)
 
 __all__ = [
     "AmbiguousTracking",
@@ -165,91 +169,50 @@ def _track_branches(e1: np.ndarray, e2: np.ndarray, band: int,
     return tracked, other
 
 
-def _roots(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a, b = h[..., 0, 0], h[..., 0, 1]
-    c, d = h[..., 1, 0], h[..., 1, 1]
-    m = 0.5 * (a + d)
-    s = np.sqrt(m * m - (a * d - b * c))
-    e1 = m + s
-    e2 = (a + d) - e1
-    return e1, e2
-
-
-def _raw_vectors(h: np.ndarray, energy: np.ndarray) -> np.ndarray:
-    """Unit right eigenvectors from the larger row candidate (vectorized)."""
-    a, b = h[..., 0, 0], h[..., 0, 1]
-    c, d = h[..., 1, 0], h[..., 1, 1]
-    c1 = np.stack([b, energy - a], axis=-1)
-    c2 = np.stack([energy - d, c], axis=-1)
-    n1 = np.linalg.norm(c1, axis=-1)
-    n2 = np.linalg.norm(c2, axis=-1)
-    raw = np.where((n1 >= n2)[..., None], c1, c2)
-    nrm = np.linalg.norm(raw, axis=-1)
-    if np.any(nrm <= 1e-14 * (np.linalg.norm(h, axis=(-2, -1)) + abs(energy))):
-        raise AmbiguousTracking(
-            "scalar Hamiltonian sample on the loop: branches carry no "
-            "eigenvector identity to track")
-    return raw / nrm[..., None]
-
-
-def _energy_derivative(h: np.ndarray, dh: np.ndarray, e_tracked: np.ndarray,
-                       e_other: np.ndarray) -> np.ndarray:
-    """dE/dk of the tracked branch, gauge independent (vectorized).
-
-    Sandwiches dh/dk between the tracked right eigenvector and the left
-    direction built from the adjugate of the *other* branch's right
-    vector, which annihilates that branch.  Valid for any
-    diagonalizable h; no gauge normalization enters because numerator
-    and denominator carry the same arbitrary scales.
-    """
-    r_t = _raw_vectors(h, e_tracked)
-    r_o = _raw_vectors(h, e_other)
-    l_dir = np.stack([r_o[..., 1], -r_o[..., 0]], axis=-1)
-    num = np.einsum("...i,...ij,...j->...", l_dir, dh, r_t)
-    den = np.einsum("...i,...i->...", l_dir, r_t)
-    return num / den
-
-
-def _check_diagonalizable(h: np.ndarray, e_t: np.ndarray, e_o: np.ndarray,
+def _check_diagonalizable(h: np.ndarray, e1: np.ndarray, e2: np.ndarray,
                           k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raise :class:`Defective` if branches are parallel at any sample.
 
-    The determinant ratio is symmetric in the two branches, so the check
+    The parallelism ratio is symmetric in the two branches, so the check
     runs on the raw (untracked) root pair and catches an exceptional
-    point before branch tracking can trip over its degenerate tie.
-    Returns the unit right vectors of ``e_t`` and ``e_o``.
+    point before branch tracking can trip over its degenerate tie.  A
+    scalar sample, whose branches carry no eigenvector identity, raises
+    :class:`AmbiguousTracking`.  Returns the unit right vectors of
+    ``e1`` and ``e2``.
     """
-    u_t = _raw_vectors(h, e_t)
-    u_o = _raw_vectors(h, e_o)
-    det = u_t[..., 0] * u_o[..., 1] - u_t[..., 1] * u_o[..., 0]
-    gram = abs(np.einsum("...i,...i->...", np.conj(u_t), u_o))
-    ratio = abs(det) / (1.0 + gram)
+    scale = np.linalg.norm(h, axis=(-2, -1))
+    units = []
+    for energy in (e1, e2):
+        unit, norm = _unit_vectors(h, energy)
+        if np.any(norm <= 1e-14 * (scale + abs(energy))):
+            raise AmbiguousTracking(
+                "scalar Hamiltonian sample on the loop: branches carry no "
+                "eigenvector identity to track")
+        units.append(unit)
+    ratio = _parallelism(*units)
     bad = ratio < PATH_DEFECTIVE_TOL
     if np.any(bad):
         j = int(np.argmax(bad))
         raise Defective(
             f"non-diagonalizable point near k = {float(k[j]):.6f} "
             f"(singular-value ratio {float(ratio[j]):.2e})")
-    return u_t, u_o
+    return units[0], units[1]
 
 
-def _overlap_resolver(h: np.ndarray, e1: np.ndarray, e2: np.ndarray,
+def _overlap_resolver(e1: np.ndarray, r1: np.ndarray, r2: np.ndarray,
                       ) -> Callable[[int, complex], tuple[float, float]]:
     """Tie-breaker: overlap of each candidate with the previous state.
 
-    The previous left direction is the adjugate row of the previous
-    *other*-branch vector, so it annihilates the branch a crossover
-    would land on and is maximal on the true continuation.
+    ``r1``/``r2`` are the unit right vectors of the roots ``e1`` and the
+    other one at every sample.  The previous left direction is the
+    adjugate row of the previous *other*-branch vector, so it
+    annihilates the branch a crossover would land on and is maximal on
+    the true continuation.
     """
     def resolve(j: int, prev_other_energy: complex) -> tuple[float, float]:
-        prev_other = _raw_vectors(h[j - 1], np.asarray(prev_other_energy))
-        l_dir = np.array([prev_other[1], -prev_other[0]], dtype=complex)
-        l_dir /= np.linalg.norm(l_dir)
-        out = []
-        for cand in (e1[j], e2[j]):
-            u = _raw_vectors(h[j], np.asarray(cand))
-            out.append(float(abs(l_dir @ u)))
-        return out[0], out[1]
+        prev = r1[j - 1] if prev_other_energy == e1[j - 1] else r2[j - 1]
+        l_dir = np.array([prev[1], -prev[0]])
+        return float(abs(l_dir @ r1[j])), float(abs(l_dir @ r2[j]))
     return resolve
 
 
@@ -270,7 +233,7 @@ def _tracked_segment(model: BlochModel, k_inc: np.ndarray, gauge: Gauge,
     r1, r2 = _check_diagonalizable(h, e1, e2, k_inc)
     try:
         e_t, e_o = _track_branches(e1, e2, start_band,
-                                   _overlap_resolver(h, e1, e2))
+                                   _overlap_resolver(e1, r1, r2))
     except AmbiguousTracking as exc:
         raise AmbiguousTracking(f"{exc} (of {k_inc.size} samples on "
                                 f"[0, {k_inc[-1]:.6f}])") from exc
@@ -456,8 +419,8 @@ def _smooth_derivative(h: np.ndarray, dh: np.ndarray, energy: np.ndarray,
                        denergy: np.ndarray, reference: np.ndarray,
                        ) -> np.ndarray:
     """k-derivative of ``u = r / (c @ r)``, where ``r`` is the row null
-    vector ``(b, E - a)`` or ``(E - d, c)`` that
-    :func:`~nhwind.bloch._pinned_row` picks:
+    vector that :func:`~nhwind.bloch._pinned_row` picks and ``r'`` the
+    same row of :func:`~nhwind.bloch._null_rows` applied to ``(dh, dE)``:
 
         du = (r' (c @ r) - r (c @ r')) / (c @ r)^2.
 
@@ -467,9 +430,7 @@ def _smooth_derivative(h: np.ndarray, dh: np.ndarray, energy: np.ndarray,
     basis component exactly 0.
     """
     r, cr, use1 = _pinned_row(h, energy, reference)
-    dr = np.stack([np.where(use1, dh[..., 0, 1], denergy - dh[..., 1, 1]),
-                   np.where(use1, denergy - dh[..., 0, 0], dh[..., 1, 0])],
-                  axis=-1)
+    dr = np.where(use1[..., None], *_null_rows(dh, denergy))
     cr = cr[..., None]
     du = (dr * cr - r * (dr @ reference)[..., None]) / (cr * cr)
     du -= np.multiply.outer(du @ reference, reference.conj())
@@ -517,15 +478,19 @@ def berry_phase(traj: LoopTrajectory, derivative: str = "analytic",
     Uses the periodic trapezoid rule (a plain sample mean times the
     period) on the closed loop.  The default analytic derivative
     applies the quotient rule on ``u = r/(c·r)``, the same formula in
-    every gauge, with the branch energy derivative from a biorthogonal
-    sandwich of d h/d k; the ``fd4`` alternative differentiates the
-    stored vectors with a five-point stencil wrapped around the loop.
-    Either way the connection divides by the stored left/right pairing,
-    so the transpose gauge needs no extra normalization step.
+    every gauge, with the branch energy derivative ``dE/dk`` from the
+    characteristic polynomial ``E^2 - tr(h) E + det h = 0``; the
+    ``fd4`` alternative differentiates the stored vectors with a
+    five-point stencil wrapped around the loop.  Either way the
+    connection divides by the stored left/right pairing, so the
+    transpose gauge needs no extra normalization step.
     """
-    f = _connection_samples(traj, derivative)
-    forward = traj.step * complex(np.sum(f))
-    return -1j * forward
+    return _loop_phase(_connection_samples(traj, derivative), traj.step)
+
+
+def _loop_phase(f: np.ndarray, dk: float) -> complex:
+    """``gamma_b`` from the connection samples of a closed loop."""
+    return -1j * (dk * complex(np.sum(f)))
 
 
 def winding_number(gamma_b: complex) -> complex:
@@ -636,7 +601,7 @@ def split_check(model: BlochModel, gauge: Gauge = Gauge.TRANSPOSE,
     w1 = complex(-1j * first / np.pi)
     w2 = complex(-1j * second / np.pi)
     total = w1 + w2
-    w_loop = winding_number(berry_phase(traj, derivative))
+    w_loop = winding_number(_loop_phase(f, dk))
     if abs(total - w_loop) > 1e-8:
         raise RuntimeError(
             f"half windings sum to {total:.3e} but the loop gives "

@@ -8,13 +8,19 @@ hop_plus)`` defining the momentum-space Hamiltonian
 The blocks may be non-Hermitian, so left and right eigenvectors differ
 and the spectrum is generally complex.  Everything downstream (Berry
 phases, winding numbers, finite chains) is built on the closed-form
-2x2 eigensystem provided here, with eigenvectors fixed in an explicit
-gauge rather than by norm.  Every gauge pins ``c . u = 1`` for a
-reference spinor ``c`` and pairs ``u`` with a left vector by one of two
-rules; the gauges differ only in that data (see :class:`Gauge`).  A
-gauge with a single pinned spinor breaks down at isolated momenta where
-``c . r`` vanishes for the right eigenvector ``r``; those points are
-reported as :class:`GaugeSingular` instead of being smoothed over.  The smooth gauge chooses ``c`` from a
+2x2 eigensystem held here: the roots ``m +- sqrt(m^2 - det h)``, the
+row null vectors of ``h - E``, the parallelism ratio that detects an
+exceptional point and the energy derivative ``dE/dk``.  Each is written
+once, vectorized over any leading shape; :func:`eig2` applies them to a
+single matrix and :mod:`nhwind.berry` to a whole sampled loop.
+
+Eigenvectors are fixed in an explicit gauge rather than by norm.  Every
+gauge pins ``c . u = 1`` for a reference spinor ``c`` and pairs ``u``
+with a left vector by one of two rules; the gauges differ only in that
+data (see :class:`Gauge`).  A gauge with a single pinned spinor breaks
+down at isolated momenta where ``c . r`` vanishes for the right
+eigenvector ``r``; those points are reported as :class:`GaugeSingular`
+instead of being smoothed over.  The smooth gauge chooses ``c`` from a
 small fixed set so that it stays away from zero.
 """
 from __future__ import annotations
@@ -153,23 +159,92 @@ def _reference_spinor(unit: np.ndarray,
     return candidates[pick]
 
 
+def _roots(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both eigenvalues of ``h`` (shape ``(..., 2, 2)``) in a fixed
+    labeling: ``m + s`` with the principal root ``s = sqrt(m^2 - det h)``,
+    ``m = tr(h)/2``, and the trace partner ``tr(h) - (m + s)``, which
+    keeps the pair exact even when ``s`` is tiny relative to ``m``."""
+    a, b = h[..., 0, 0], h[..., 0, 1]
+    c, d = h[..., 1, 0], h[..., 1, 1]
+    m = 0.5 * (a + d)
+    s = np.sqrt(m * m - (a * d - b * c))
+    e1 = m + s
+    e2 = (a + d) - e1
+    return e1, e2
+
+
+def _null_rows(h: np.ndarray, energy: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The row null vectors ``(b, E - a)`` and ``(E - d, c)`` of
+    ``h - E``, each of shape ``(..., 2)``.
+
+    At an eigenvalue they are parallel, and at least one is nonzero
+    unless ``h`` is scalar.  Applied to ``(dh/dk, dE/dk)`` instead, the
+    same map gives their k-derivatives.
+    """
+    return (np.stack([h[..., 0, 1], energy - h[..., 0, 0]], axis=-1),
+            np.stack([energy - h[..., 1, 1], h[..., 1, 0]], axis=-1))
+
+
+def _unit_vectors(h: np.ndarray, energy: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Unit right eigenvectors of ``h`` at ``energy`` and the norm they
+    were scaled from: the longer row of :func:`_null_rows`.
+
+    A zero norm (scalar ``h``) leaves a NaN vector behind; callers
+    refuse those samples by the norm.
+    """
+    r1, r2 = _null_rows(h, energy)
+    n1 = np.linalg.norm(r1, axis=-1)
+    n2 = np.linalg.norm(r2, axis=-1)
+    use1 = n1 >= n2
+    norm = np.where(use1, n1, n2)
+    with np.errstate(invalid="ignore"):
+        unit = np.where(use1[..., None], r1, r2) / norm[..., None]
+    return unit, norm
+
+
+def _parallelism(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Smallest-to-largest singular-value ratio of the matrix ``[u, v]``
+    of unit vectors, ``|det| / (1 + |u^H v|)``: 0 where the two
+    branches coincide (exceptional point), 1 where they are orthogonal.
+    """
+    det = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    return abs(det) / (1.0 + abs(np.einsum("...i,...i->...", np.conj(u), v)))
+
+
+def _energy_derivative(h: np.ndarray, dh: np.ndarray, energy: np.ndarray,
+                       other: np.ndarray) -> np.ndarray:
+    """dE/dk of the branch at ``energy``, from differentiating the
+    characteristic polynomial ``E^2 - tr(h) E + det h = 0``:
+
+        dE = (tr(dh) E - d(det h)) / (E - E_other).
+
+    Gauge independent and valid wherever the two roots differ.
+    """
+    a, b = h[..., 0, 0], h[..., 0, 1]
+    c, d = h[..., 1, 0], h[..., 1, 1]
+    da, db = dh[..., 0, 0], dh[..., 0, 1]
+    dc, dd = dh[..., 1, 0], dh[..., 1, 1]
+    ddet = da * d + a * dd - db * c - b * dc
+    return ((da + dd) * energy - ddet) / (energy - other)
+
+
 def _pinned_row(h: np.ndarray, energy: np.ndarray, c: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per sample, the row null vector ``r`` of ``h - E`` that ``c``
-    normalizes: ``(b, E - a)`` where ``use1``, else ``(E - d, c)``.
+    """Per sample, the row of :func:`_null_rows` that ``c`` normalizes
+    best: the first where ``use1``, else the second.
 
     The two rows are parallel, so ``r / (c @ r)`` does not depend on the
     choice; taking the larger ``|c @ r|`` keeps it well conditioned.
     Returns ``(r, c @ r, use1)``.
     """
-    a, b = h[..., 0, 0], h[..., 0, 1]
-    hc, d = h[..., 1, 0], h[..., 1, 1]
+    r1, r2 = _null_rows(h, energy)
     c0, c1 = c
-    ea, ed = energy - a, energy - d
-    cr1, cr2 = c0 * b + c1 * ea, c0 * ed + c1 * hc
+    cr1 = c0 * r1[..., 0] + c1 * r1[..., 1]
+    cr2 = c0 * r2[..., 0] + c1 * r2[..., 1]
     use1 = abs(cr1) >= abs(cr2)
-    r = np.stack([np.where(use1, b, ed), np.where(use1, ea, hc)], axis=-1)
-    return r, np.where(use1, cr1, cr2), use1
+    return np.where(use1[..., None], r1, r2), np.where(use1, cr1, cr2), use1
 
 
 def _pin(h: np.ndarray, energy: np.ndarray, unit: np.ndarray, gauge: Gauge,
@@ -350,82 +425,44 @@ class EigenSystem2:
         raise ValueError(f"band must be +1 or -1, got {band!r}")
 
 
-def _raw_pair(h: np.ndarray, energy: complex) -> np.ndarray:
-    """Unnormalized eigenvector for one branch, from the better row.
-
-    Both ``(b, E - a)`` and ``(E - d, c)`` are null vectors of
-    ``h - E``; the larger one is numerically safer.
-    """
-    a, b = h[0, 0], h[0, 1]
-    c, d = h[1, 0], h[1, 1]
-    cand1 = np.array([b, energy - a], dtype=complex)
-    cand2 = np.array([energy - d, c], dtype=complex)
-    n1 = np.linalg.norm(cand1)
-    n2 = np.linalg.norm(cand2)
-    scale = np.linalg.norm(h) + abs(energy)
-    if max(n1, n2) <= 1e-14 * max(scale, 1.0):
-        # h is (numerically) a multiple of the identity: every vector is
-        # an eigenvector, so hand back a basis vector and let the gauge
-        # rules act on it.
-        return np.array([1.0, 0.0], dtype=complex)
-    return cand1 if n1 >= n2 else cand2
-
-
 def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem2:
     """Eigensystem of a single 2x2 Hamiltonian in an explicit gauge.
 
     Energies come from the quadratic formula with the principal square
-    root, ``E = m +- sqrt(m^2 - det h)``.  Degenerate-but-diagonalizable
-    points (scalar matrices) are fine; coinciding eigenvectors raise
-    :class:`Defective` before any gauge normalization is attempted, and
-    a vanishing pinned projection ``c . u`` or transpose pairing raises
+    root, ``E = m +- sqrt(m^2 - det h)``, bit for bit as a sampled loop
+    gets them.  Degenerate-but-diagonalizable points (scalar matrices)
+    are fine; coinciding eigenvectors raise :class:`Defective` before
+    any gauge normalization is attempted, and a vanishing pinned
+    projection ``c . u`` or transpose pairing raises
     :class:`GaugeSingular`.  The gauge's spinor ``c`` must hold on both
     eigenvectors, so the smooth gauge picks it for this matrix alone,
-    over both.
+    over both.  Non-finite entries raise ``ValueError``.
     """
     gauge = Gauge(gauge)
     h = np.asarray(h, dtype=complex)
     if h.shape != (2, 2):
         raise ValueError(f"h must be 2x2, got {h.shape}")
-    a, b = h[0, 0], h[0, 1]
-    c, d = h[1, 0], h[1, 1]
-    m = 0.5 * (a + d)
-    s = np.sqrt(m * m - (a * d - b * c))
-    e_plus = m + s
-    # Trace identity instead of m - s: keeps the pair exact even when
-    # s is tiny relative to m.
-    e_minus = (a + d) - e_plus
-
-    scale = np.linalg.norm(h)
+    if not np.all(np.isfinite(h)):
+        raise ValueError("h contains non-finite entries")
+    e_plus, e_minus = _roots(h)
     # The gauge takes the eigenvectors as row null vectors of this
     # matrix at these eigenvalues.
     vectors_of, roots = h, np.array([e_plus, e_minus])
-    if np.linalg.norm(h - m * np.eye(2)) <= 1e-14 * max(scale, 1.0):
+    m = 0.5 * (h[0, 0] + h[1, 1])
+    if np.linalg.norm(h - m * np.eye(2)) <= 1e-14 * max(np.linalg.norm(h),
+                                                       1.0):
         # Scalar matrix: degenerate but diagonalizable.  Any basis is an
         # eigenbasis; sigma_x's, (1, 1) and (1, -1), satisfies every
         # gauge here, including the transpose pairing.
         vectors_of, roots = SIGMA_X, np.array([1.0, -1.0], dtype=complex)
-        up = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-        um = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-    else:
-        raw_plus = _raw_pair(h, e_plus)
-        raw_minus = _raw_pair(h, e_minus)
-
-        # Defectiveness first: the ratio of singular values of the
-        # column-normalized eigenvector matrix, which is gauge independent.
-        up = raw_plus / np.linalg.norm(raw_plus)
-        um = raw_minus / np.linalg.norm(raw_minus)
-        det_norm = up[0] * um[1] - up[1] * um[0]
-        smax_sq = 1.0 + abs(np.vdot(up, um))
-        if abs(det_norm) / smax_sq < DEFECTIVE_TOL:
-            raise Defective(
-                f"eigenvectors are parallel "
-                f"(ratio {abs(det_norm) / smax_sq:.2e})")
-
-    unit = np.stack([up, um])
+    vectors_of = np.stack([vectors_of, vectors_of])
+    # Defectiveness first: the ratio is gauge independent.
+    unit, _ = _unit_vectors(vectors_of, roots)
+    ratio = float(_parallelism(unit[0], unit[1]))
+    if ratio < DEFECTIVE_TOL:
+        raise Defective(f"eigenvectors are parallel (ratio {ratio:.2e})")
     (u_plus, u_minus), (l_plus, l_minus), spinor = _fix_gauge(
-        np.stack([vectors_of, vectors_of]), roots, roots[::-1], unit,
-        unit[::-1], gauge)
+        vectors_of, roots, roots[::-1], unit, unit[::-1], gauge)
     reference = spinor if gauge is Gauge.SMOOTH else None
     return EigenSystem2(complex(e_plus), complex(e_minus),
                         u_plus, u_minus, l_plus, l_minus, gauge, reference)

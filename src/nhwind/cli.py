@@ -429,6 +429,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # Only the --out write touches the file system.
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

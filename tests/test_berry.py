@@ -6,10 +6,10 @@ import pytest
 
 from nhwind import (AmbiguousTracking, Band, BlochModel, Defective, Gauge,
                     GaugeSingular, LoopTrajectory, NoClosure, SplitWindings,
-                    WindingReport, band_winding, berry_phase, demo, lee,
-                    loop_period, split_check, winding_lee, winding_number,
-                    winding_report)
-from nhwind.berry import _track_branches
+                    WindingReport, band_winding, berry_phase, demo, eig2,
+                    hk, lee, loop_period, split_check, winding_lee,
+                    winding_number, winding_report)
+from nhwind.berry import _overlap_resolver, _track_branches
 from nhwind.bloch import REFERENCE_SPINORS, _reference_spinor
 
 # Frozen per-band windings of the lee defaults at grid 8192.
@@ -51,6 +51,33 @@ def test_track_branches_tie_needs_resolver():
     with pytest.raises(AmbiguousTracking):
         _track_branches(e1, e2, Band.PLUS,
                         resolver=lambda j, prev: (0.5, 0.5))
+
+
+def test_overlap_resolver_breaks_energy_tie():
+    # Sample 1 is an exact energy tie seen from the previous energy 0.
+    # The previous other-branch vector is e2, so the left direction is
+    # (1, 0): it annihilates r2[1] and keeps the continuation r1[1].
+    e1 = np.array([0.0, 1.0], dtype=complex)
+    e2 = np.array([2.0, -1.0], dtype=complex)
+    r1 = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
+    r2 = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
+    resolve = _overlap_resolver(e1, r1, r2)
+    assert resolve(1, complex(e2[0])) == pytest.approx((0.6, 0.0))
+    # Had the branch come from e2, the left direction would be (0, -1).
+    assert resolve(1, complex(e1[0])) == pytest.approx((0.8, 1.0))
+    tracked, other = _track_branches(e1, e2, Band.PLUS, resolve)
+    assert np.array_equal(tracked, e1) and np.array_equal(other, e2)
+
+
+def test_eig2_energies_match_tracked_loop_bit_for_bit():
+    # eig2 and the sampled loop share one root formula.
+    for model in (lee(), lee(0.6, 0.4, 0.5), demo()):
+        traj = loop_period(model, 256, Gauge.FIRST_COMPONENT_ONE)
+        for j in range(0, traj.k_grid.size, 7):
+            system = eig2(hk(model, traj.k_grid[j]))
+            assert ({system.e_plus, system.e_minus}
+                    == {traj.energies[j], traj.energies_other[j]}), (
+                        model.label, j)
 
 
 def test_loop_period_braided_needs_two_zones(lee_default):

@@ -245,6 +245,10 @@ def test_eig2_hermitian_limit_reality():
 def test_eig2_input_validation():
     with pytest.raises(ValueError):
         eig2(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        eig2(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        eig2(np.array([[np.inf, 1.0], [1.0, 0.0]]))
 
 
 def test_eig2_gauge_strings_match_enum():

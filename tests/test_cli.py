@@ -176,13 +176,19 @@ def test_out_writes_atomically(capsys, tmp_path):
     assert os.listdir(tmp_path) == ["report.json"]
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["winding", "--grid", "63"])
     assert code == 2 and "grid" in err
     code, _, err = run_cli(capsys, ["scan", "--n-list", "4,x"])
     assert code == 2 and "n-list" in err
     code, _, err = run_cli(capsys, ["chain", "--n", "0"])
     assert code == 2
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, ["winding", "--grid", "256",
+                                      "--out", str(missing)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {missing}")
+    assert not missing.parent.exists()
     with pytest.raises(SystemExit) as info:
         main(["winding", "--gauge", "sideways"])
     assert info.value.code == 2
