@@ -37,6 +37,14 @@ it consistently.  ``winding_number`` divides by pi, and
 constant, which reproduces a fractional count whenever the loop period
 is not 2 pi times that constant.
 
+Continuity is a rule on the splitting ``E1 - E2 = 2 sqrt(D)`` alone,
+with the discriminant ``D = ((a - d)/2)^2 + b c`` of :mod:`nhwind.bloch`:
+the tracked branch is ``tr(h)/2 + sqrt(D)`` continued analytically
+along k (:func:`_turns`), so a scalar term ``f(k) * 1`` in ``h(k)``
+never moves it.  The braid is the half-integer phase winding of
+``sqrt(D)`` over a zone, the "energy vorticity" of Shen, Zhen & Fu,
+PRL 120, 146402 (2018).
+
 Per-band segment integrals over a single Brillouin zone
 (:func:`band_winding`) and the two halves of a braided loop
 (:func:`split_check`) use the same orientation map ``w = -i I / pi``,
@@ -89,7 +97,9 @@ __all__ = [
 
 # Relative closure tolerance on (energy, gauge-fixed state) at the loop end.
 CLOSURE_TOL = 1e-8
-# Two candidate continuations closer than this are a tie.
+# A step whose splitting turn Re(s_j conj(s_{j-1})) is within this
+# fraction of |s_j| |s_{j-1}| of zero is a tie; so are two overlaps
+# within this relative distance.
 TIE_TOL = 1e-10
 # A single sample contributing more than this to the connection integral
 # means an unresolvable pole sits between grid points.
@@ -114,14 +124,32 @@ class Band(IntEnum):
 
 
 class AmbiguousTracking(RuntimeError):
-    """Branch continuation cannot be decided: the two candidates are
-    equally close in energy and the eigenvector overlaps do not break
-    the tie either."""
+    """Branch continuation cannot be decided: the eigenvalue splitting
+    turns by a right angle (or vanishes) between two samples and the
+    eigenvector overlaps do not break the tie either."""
 
 
 class NoClosure(RuntimeError):
     """The tracked branch fails to return to its starting state after
     two Brillouin zones (or the stored loop data violate closure)."""
+
+
+def _turns(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Continuity rule of a branch splitting, per step ``j - 1 -> j``.
+
+    ``split`` holds ``s = E1 - E2 = 2 sqrt(D)`` at each sample in some
+    labeling.  The continuation of ``s_{j-1}`` is whichever of ``+-s_j``
+    it turns toward, decided by the sign of
+    ``turn = Re(s_j conj(s_{j-1}))``: the analytic continuation of
+    ``sqrt(D)``, the same as ``unwrap(angle D) / 2``.  The mean energy
+    never enters.  Returns ``(flip, tie)``, one entry per step: ``flip``
+    where the turn is decisively negative (the branches swap labels),
+    ``tie`` where ``|turn| <= TIE_TOL |s_j| |s_{j-1}|``, a right-angle
+    turn or a vanishing splitting, which the rule cannot decide.
+    """
+    turn = (split[1:] * np.conj(split[:-1])).real
+    margin = TIE_TOL * abs(split[1:]) * abs(split[:-1])
+    return turn < -margin, abs(turn) <= margin
 
 
 def _track_branches(e1: np.ndarray, e2: np.ndarray, band: int,
@@ -132,8 +160,8 @@ def _track_branches(e1: np.ndarray, e2: np.ndarray, band: int,
 
     ``e1``/``e2`` hold the two closed-form roots at each momentum in a
     fixed (unordered) labeling.  Tracking starts on ``e1`` for
-    ``Band.PLUS`` and on ``e2`` for ``Band.MINUS`` and always continues
-    to the nearer candidate.  On a distance tie,
+    ``Band.PLUS`` and on ``e2`` for ``Band.MINUS`` and continues the
+    splitting ``e1 - e2`` by :func:`_turns`.  On a tie,
     ``resolver(j, previous_other_energy)`` must return the eigenvector
     overlaps of the two candidates with the previous state; a missing
     resolver or an overlap tie raises :class:`AmbiguousTracking`.
@@ -144,29 +172,20 @@ def _track_branches(e1: np.ndarray, e2: np.ndarray, band: int,
     e2 = np.asarray(e2, dtype=complex)
     if e1.shape != e2.shape or e1.ndim != 1:
         raise ValueError("branch arrays must be equal-length 1-d")
-    band = Band(band)
-    n = e1.size
-    tracked = np.empty(n, dtype=complex)
-    other = np.empty(n, dtype=complex)
-    cur, oth = (e1[0], e2[0]) if band is Band.PLUS else (e2[0], e1[0])
-    tracked[0], other[0] = cur, oth
-    for j in range(1, n):
-        d1 = abs(e1[j] - cur)
-        d2 = abs(e2[j] - cur)
-        if abs(d1 - d2) <= TIE_TOL * max(1.0, abs(cur)):
-            if resolver is None:
-                raise AmbiguousTracking(
-                    f"energy tie at sample {j} with no overlap data")
-            o1, o2 = resolver(j, complex(oth))
-            if abs(o1 - o2) <= TIE_TOL * max(o1, o2, 1e-300):
-                raise AmbiguousTracking(
-                    f"energy and overlap tie at sample {j}")
-            take1 = o1 > o2
-        else:
-            take1 = d1 < d2
-        cur, oth = (e1[j], e2[j]) if take1 else (e2[j], e1[j])
-        tracked[j], other[j] = cur, oth
-    return tracked, other
+    start_on2 = Band(band) is Band.MINUS
+    flip, tie = _turns(e1 - e2)
+    for j in np.flatnonzero(tie) + 1:
+        if resolver is None:
+            raise AmbiguousTracking(
+                f"splitting tie at sample {j} with no overlap data")
+        on2 = start_on2 != bool(np.count_nonzero(flip[:j - 1]) % 2)
+        o1, o2 = resolver(j, complex(e1[j - 1] if on2 else e2[j - 1]))
+        if abs(o1 - o2) <= TIE_TOL * max(o1, o2, 1e-300):
+            raise AmbiguousTracking(
+                f"splitting and overlap tie at sample {j}")
+        flip[j - 1] = (o1 > o2) == on2
+    on2 = np.logical_xor.accumulate(np.r_[start_on2, flip])
+    return np.where(on2, e2, e1), np.where(on2, e1, e2)
 
 
 def _check_diagonalizable(h: np.ndarray, e1: np.ndarray, e2: np.ndarray,
@@ -258,8 +277,9 @@ class LoopTrajectory:
     transpose gauge.  ``reference`` is the smooth gauge's spinor ``c``
     (``c @ u = 1`` at every sample) and ``None`` in the other gauges,
     whose spinor the gauge itself fixes.  Construction re-validates
-    continuity (each step stays on the nearest branch up to the tracking
-    tie band), the left/right pairing rule of the gauge, the
+    continuity (no step flips the splitting ``energies -
+    energies_other``, the tracking rule of :func:`_turns`), the
+    left/right pairing rule of the gauge, the
     normalization ``c @ u = 1`` in every gauge, and closure; violations
     raise ``ValueError`` or :class:`NoClosure`.
     """
@@ -294,13 +314,13 @@ class LoopTrajectory:
         step = self.period / m
         if np.max(np.abs(np.diff(k) - step)) > 1e-9:
             raise ValueError("loop samples must be uniformly spaced")
-        # Continuity: each step (including the wrap back to k = 0) must
-        # stay on the nearest branch, up to the tracking tie band inside
-        # which the overlap resolver may pick the energy-farther one.
-        nxt = np.roll(e_t, -1)
-        nxt_other = np.roll(e_o, -1)
-        slack = TIE_TOL * np.maximum(1.0, np.abs(e_t))
-        if np.any(np.abs(nxt - e_t) > np.abs(nxt_other - e_t) + slack):
+        # Continuity by the tracking rule: no step, the wrap back to
+        # k = 0 included, may flip the splitting.  A tie may go either
+        # way, since the overlap resolver decides it, but a zero
+        # splitting is not a continuation.
+        split = e_t - e_o
+        flip, _ = _turns(np.append(split, split[0]))
+        if np.any(flip) or not np.all(split):
             raise ValueError("stored samples are not a continuously "
                              "tracked branch")
         pairing = np.einsum("mi,mi->m", l, u)
@@ -360,6 +380,15 @@ def _spinor(gauge: Gauge, reference: np.ndarray | None) -> np.ndarray:
     return _GAUGES[gauge][0][0] if reference is None else reference
 
 
+def _zone_step(grid_size: int) -> float:
+    """Momentum step of a zone of ``grid_size`` samples, which must be
+    even and at least 64."""
+    if grid_size < 64 or grid_size % 2:
+        raise ValueError(f"grid_size must be even and >= 64, "
+                         f"got {grid_size}")
+    return 2.0 * np.pi / grid_size
+
+
 def loop_period(model: BlochModel, grid_size: int = 8192,
                 gauge: Gauge = Gauge.SMOOTH,
                 start_band: Band = Band.PLUS) -> LoopTrajectory:
@@ -378,12 +407,9 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
     :class:`~nhwind.bloch.Defective` /
     :class:`~nhwind.bloch.GaugeSingular` on per-sample pathologies.
     """
-    if grid_size < 64 or grid_size % 2:
-        raise ValueError(f"grid_size must be even and >= 64, "
-                         f"got {grid_size}")
+    step = _zone_step(grid_size)
     start_band = Band(start_band)
     gauge = Gauge(gauge)
-    step = 2.0 * np.pi / grid_size
     closure = np.inf
     for zones in (1, 2):
         m = zones * grid_size
@@ -453,14 +479,16 @@ def _connection_samples(traj: LoopTrajectory, derivative: str) -> np.ndarray:
     else:
         raise ValueError(f"derivative must be 'analytic' or 'fd4', "
                          f"got {derivative!r}")
-    num = np.einsum("mi,mi->m", traj.left_states, du)
-    den = np.einsum("mi,mi->m", traj.left_states, traj.states)
-    f = num / den
-    _pole_guard(f, dk)
-    return f
+    return _connection(traj.left_states, traj.states, du, dk)
 
 
-def _pole_guard(f: np.ndarray, dk: float) -> None:
+def _connection(l: np.ndarray, u: np.ndarray, du: np.ndarray, dk: float,
+                ) -> np.ndarray:
+    """Berry connection ``f = (l @ du) / (l @ u)`` per sample, refused
+    with :class:`~nhwind.bloch.GaugeSingular` when one sample would
+    contribute more than ``POLE_TOL`` to the integral over steps ``dk``.
+    """
+    f = np.einsum("mi,mi->m", l, du) / np.einsum("mi,mi->m", l, u)
     worst = float(np.max(np.abs(f))) * dk
     if not np.isfinite(worst) or worst > POLE_TOL:
         raise GaugeSingular(
@@ -469,6 +497,7 @@ def _pole_guard(f: np.ndarray, dk: float) -> None:
             f"refinement can resolve this in a component gauge; the "
             f"smooth gauge ('smooth') integrates through a component "
             f"that only crosses zero")
+    return f
 
 
 def berry_phase(traj: LoopTrajectory, derivative: str = "analytic",
@@ -512,8 +541,9 @@ def winding_lee(traj: LoopTrajectory, lee_normalization: float,
 
 
 def _per_zone(w: complex, lee_normalization: float) -> complex:
-    if lee_normalization == 0:
-        raise ValueError("lee_normalization must be nonzero")
+    if lee_normalization == 0 or not np.isfinite(lee_normalization):
+        raise ValueError(f"lee_normalization must be finite and nonzero, "
+                         f"got {lee_normalization!r}")
     return w / lee_normalization
 
 
@@ -527,12 +557,9 @@ def band_winding(model: BlochModel, band: Band = Band.PLUS,
     ends on the other.  Endpoints get half weight (ordinary trapezoid).
     The value is NOT gauge invariant; only the sum over both bands is.
     """
-    if grid_size < 64 or grid_size % 2:
-        raise ValueError(f"grid_size must be even and >= 64, "
-                         f"got {grid_size}")
+    step = _zone_step(grid_size)
     band = Band(band)
     gauge = Gauge(gauge)
-    step = 2.0 * np.pi / grid_size
     k_inc = np.arange(grid_size + 1) * step
     h, e_t, e_o, u, l, c = _tracked_segment(model, k_inc, gauge, band)
 
@@ -543,11 +570,13 @@ def band_winding(model: BlochModel, band: Band = Band.PLUS,
     else:
         raise ValueError(f"derivative must be 'analytic' or 'fd4', "
                          f"got {derivative!r}")
-    num = np.einsum("mi,mi->m", l, du)
-    den = np.einsum("mi,mi->m", l, u)
-    f = num / den
-    _pole_guard(f, step)
-    integral = step * (0.5 * f[0] + np.sum(f[1:-1]) + 0.5 * f[-1])
+    return _segment_winding(_connection(l, u, du, step), step)
+
+
+def _segment_winding(f: np.ndarray, dk: float) -> complex:
+    """``w = -i/pi * integral`` of the connection samples ``f`` of an
+    open segment: the trapezoid rule, endpoints at half weight."""
+    integral = dk * (0.5 * f[0] + np.sum(f[1:-1]) + 0.5 * f[-1])
     return complex(-1j * integral / np.pi)
 
 
@@ -593,13 +622,10 @@ def split_check(model: BlochModel, gauge: Gauge = Gauge.TRANSPOSE,
             f"split_check needs a two-zone loop; {model.label} closes "
             f"after {traj.period / np.pi:.3g} pi")
     f = _connection_samples(traj, derivative)
-    m = f.size
-    half = m // 2
+    half = f.size // 2
     dk = traj.step
-    first = dk * (0.5 * f[0] + np.sum(f[1:half]) + 0.5 * f[half])
-    second = dk * (0.5 * f[half] + np.sum(f[half + 1:]) + 0.5 * f[0])
-    w1 = complex(-1j * first / np.pi)
-    w2 = complex(-1j * second / np.pi)
+    w1 = _segment_winding(f[:half + 1], dk)
+    w2 = _segment_winding(np.append(f[half:], f[0]), dk)
     total = w1 + w2
     w_loop = winding_number(_loop_phase(f, dk))
     if abs(total - w_loop) > 1e-8:

@@ -8,7 +8,8 @@ hop_plus)`` defining the momentum-space Hamiltonian
 The blocks may be non-Hermitian, so left and right eigenvectors differ
 and the spectrum is generally complex.  Everything downstream (Berry
 phases, winding numbers, finite chains) is built on the closed-form
-2x2 eigensystem held here: the roots ``m +- sqrt(m^2 - det h)``, the
+2x2 eigensystem held here: the roots ``m +- sqrt(D)`` with
+``m = tr(h)/2`` and the discriminant ``D = ((a - d)/2)^2 + b c``, the
 row null vectors of ``h - E``, the parallelism ratio that detects an
 exceptional point and the energy derivative ``dE/dk``.  Each is written
 once, vectorized over any leading shape; :func:`eig2` applies them to a
@@ -161,13 +162,20 @@ def _reference_spinor(unit: np.ndarray,
 
 def _roots(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both eigenvalues of ``h`` (shape ``(..., 2, 2)``) in a fixed
-    labeling: ``m + s`` with the principal root ``s = sqrt(m^2 - det h)``,
-    ``m = tr(h)/2``, and the trace partner ``tr(h) - (m + s)``, which
-    keeps the pair exact even when ``s`` is tiny relative to ``m``."""
+    labeling: ``m + s`` with ``m = tr(h)/2`` and the principal root
+    ``s = sqrt(D)`` of the discriminant ``D = ((a - d)/2)^2 + b c``, and
+    the trace partner ``tr(h) - (m + s)``.
+
+    ``D`` equals ``m^2 - det h`` but never subtracts the two, so a
+    splitting far below ``|m|`` keeps its digits.  The splitting
+    ``E1 - E2`` is ``2 sqrt(D)``, and its continuation along a path is
+    what :mod:`nhwind.berry` tracks.
+    """
     a, b = h[..., 0, 0], h[..., 0, 1]
     c, d = h[..., 1, 0], h[..., 1, 1]
     m = 0.5 * (a + d)
-    s = np.sqrt(m * m - (a * d - b * c))
+    half_gap = 0.5 * (a - d)
+    s = np.sqrt(half_gap * half_gap + b * c)
     e1 = m + s
     e2 = (a + d) - e1
     return e1, e2
@@ -428,13 +436,13 @@ class EigenSystem2:
 def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem2:
     """Eigensystem of a single 2x2 Hamiltonian in an explicit gauge.
 
-    Energies come from the quadratic formula with the principal square
-    root, ``E = m +- sqrt(m^2 - det h)``, bit for bit as a sampled loop
-    gets them.  Degenerate-but-diagonalizable points (scalar matrices)
-    are fine; coinciding eigenvectors raise :class:`Defective` before
-    any gauge normalization is attempted, and a vanishing pinned
-    projection ``c . u`` or transpose pairing raises
-    :class:`GaugeSingular`.  The gauge's spinor ``c`` must hold on both
+    Energies are ``m +- sqrt(D)`` with ``m = tr(h)/2`` and the
+    cancellation-free discriminant ``D = ((a - d)/2)^2 + b c`` (principal
+    root), bit for bit as a sampled loop gets them.
+    Degenerate-but-diagonalizable points (scalar matrices) are fine;
+    coinciding eigenvectors raise :class:`Defective` before any gauge
+    normalization is attempted, and a vanishing pinned projection
+    ``c . u`` or transpose pairing raises :class:`GaugeSingular`.  The gauge's spinor ``c`` must hold on both
     eigenvectors, so the smooth gauge picks it for this matrix alone,
     over both.  Non-finite entries raise ``ValueError``.
     """
@@ -444,10 +452,12 @@ def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem
         raise ValueError(f"h must be 2x2, got {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("h contains non-finite entries")
-    e_plus, e_minus = _roots(h)
     # The gauge takes the eigenvectors as row null vectors of this
-    # matrix at these eigenvalues.
-    vectors_of, roots = h, np.array([e_plus, e_minus])
+    # matrix at these eigenvalues.  The roots come from a one-sample
+    # batch: numpy's scalar complex product can differ in the last bit
+    # from the array product a sampled loop uses.
+    vectors_of, roots = h, np.concatenate(_roots(h[None]))
+    e_plus, e_minus = roots
     m = 0.5 * (h[0, 0] + h[1, 1])
     if np.linalg.norm(h - m * np.eye(2)) <= 1e-14 * max(np.linalg.norm(h),
                                                        1.0):

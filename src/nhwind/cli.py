@@ -83,8 +83,10 @@ class RunConfig:
             raise ValueError(f"unknown side {self.side!r}")
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ValueError("--n-list needs positive cell counts")
-        if self.lee_normalization is not None and self.lee_normalization == 0:
-            raise ValueError("--lee-normalization must be nonzero")
+        if self.lee_normalization is not None and (
+                self.lee_normalization == 0
+                or not np.isfinite(self.lee_normalization)):
+            raise ValueError("--lee-normalization must be finite and nonzero")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
 

@@ -53,12 +53,28 @@ def test_track_branches_tie_needs_resolver():
                         resolver=lambda j, prev: (0.5, 0.5))
 
 
+def test_track_branches_follows_the_splitting_not_the_mean():
+    # The mean energy jumps by 10 between the samples.  The splitting
+    # e1 - e2 keeps its sign, so the branch stays on e1, although e2[1]
+    # is the nearer energy.
+    e1 = np.array([1.0, 11.0], dtype=complex)
+    e2 = np.array([-1.0, 9.0], dtype=complex)
+    tracked, other = _track_branches(e1, e2, Band.PLUS)
+    assert np.array_equal(tracked, e1) and np.array_equal(other, e2)
+    # A sign change of the splitting swaps the labels, here again onto
+    # the farther energy.
+    tracked, _ = _track_branches(np.array([1.0, 9.0]),
+                                 np.array([-1.0, 11.0]), Band.PLUS)
+    assert np.array_equal(tracked, [1.0, 11.0])
+
+
 def test_overlap_resolver_breaks_energy_tie():
-    # Sample 1 is an exact energy tie seen from the previous energy 0.
-    # The previous other-branch vector is e2, so the left direction is
-    # (1, 0): it annihilates r2[1] and keeps the continuation r1[1].
-    e1 = np.array([0.0, 1.0], dtype=complex)
-    e2 = np.array([2.0, -1.0], dtype=complex)
+    # The splitting turns by a right angle at sample 1 (2 -> 2i), an
+    # exact tie of the continuity rule.  The previous other-branch
+    # vector is e2, so the left direction is (1, 0): it annihilates
+    # r2[1] and keeps the continuation r1[1].
+    e1 = np.array([1.0, 1.0j], dtype=complex)
+    e2 = np.array([-1.0, -1.0j], dtype=complex)
     r1 = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
     r2 = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
     resolve = _overlap_resolver(e1, r1, r2)
@@ -94,6 +110,37 @@ def test_loop_period_unbraided_closes_in_one_zone():
                        Gauge.FIRST_COMPONENT_ONE).period == 2 * np.pi
     assert loop_period(demo(), 512,
                        Gauge.FIRST_COMPONENT_ONE).period == 2 * np.pi
+
+
+def test_loop_period_splitting_far_below_the_mean_energy():
+    # On-site energy 1 and hops of order 1e-9: m^2 - det h cancels to 0
+    # at every k, while the discriminant keeps the splitting 2|b(k)|.
+    t = 1e-9
+    model = BlochModel([[0.0, 0.5 * t], [0.0, 0.0]],
+                       np.eye(2) + t * SIGMA_X,
+                       [[0.0, 0.0], [0.5 * t, 0.0]])
+    traj = loop_period(model, 256)
+    assert traj.period == 2 * np.pi
+    split = 2 * t * np.abs(1.0 + 0.5 * np.exp(1j * traj.k_grid))
+    assert np.max(np.abs(traj.energies - traj.energies_other - split)) \
+        < 1e-15
+
+
+@pytest.mark.parametrize("base, shift", [(lee(0.55, 0.5, 0.2), 4.0),
+                                         (lee(), 8.0)])
+def test_scalar_shift_leaves_the_branch_in_place(base, shift):
+    # Adding shift * 1 to both hops adds 2 shift cos k to h(k), which
+    # moves both energies alike and no eigenvector.  Tracking ignores
+    # the mean energy, so the loop is the same even on a coarse grid.
+    shifted = BlochModel(base.hop_minus + shift * np.eye(2), base.hop_zero,
+                         base.hop_plus + shift * np.eye(2))
+    for band in Band:
+        traj = loop_period(shifted, 64, start_band=band)
+        plain = loop_period(base, 64, start_band=band)
+        assert traj.period == plain.period == 4 * np.pi
+        assert np.max(np.abs(traj.states - plain.states)) < 1e-10
+        moved = 2 * shift * np.cos(traj.k_grid)
+        assert np.max(np.abs(traj.energies - plain.energies - moved)) < 1e-10
 
 
 def test_loop_period_grid_validation(lee_default):
@@ -243,8 +290,12 @@ def test_winding_lee_normalization_identities(demo_model):
     assert winding_lee(traj, 1.0) == w
     assert winding_lee(traj, 0.5) == 2 * w
     assert winding_lee(traj, 0.5) == pytest.approx(2.0, abs=1e-12)
+    for bad in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            winding_lee(traj, bad)
     with pytest.raises(ValueError):
-        winding_lee(traj, 0.0)
+        winding_report(demo_model, Gauge.FIRST_COMPONENT_ONE, 256,
+                       lee_normalization=np.nan)
 
 
 def test_hermitian_dimerized_limits():

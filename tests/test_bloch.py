@@ -188,6 +188,19 @@ def test_eig2_defective_raises():
             eig2(h)
 
 
+def test_eig2_splitting_far_below_the_mean_energy():
+    # m^2 - det h cancels to 0 here; the discriminant ((a - d)/2)^2 + bc
+    # keeps the 1e-9 splitting of this well-conditioned Hermitian matrix.
+    h = np.array([[1.0, 1e-9], [1e-9, 1.0]], dtype=complex)
+    sys2 = eig2(h)
+    assert abs(sys2.e_plus - (1.0 + 1e-9)) <= 1e-15
+    assert abs(sys2.e_minus - (1.0 - 1e-9)) <= 1e-15
+    for band in (+1, -1):
+        energy, u, left = sys2.band(band)
+        assert np.linalg.norm(h @ u - energy * u) <= 1e-15
+        assert left @ u == pytest.approx(1.0, abs=1e-15)
+
+
 def test_eig2_gauge_singular_on_vanishing_component():
     for gauge in (Gauge.FIRST_COMPONENT_ONE, Gauge.SECOND_COMPONENT_ONE,
                   Gauge.TRANSPOSE):

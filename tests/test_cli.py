@@ -183,6 +183,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "n-list" in err
     code, _, err = run_cli(capsys, ["chain", "--n", "0"])
     assert code == 2
+    for command, value in (("winding", "nan"), ("reductio", "inf"),
+                           ("reductio", "-inf")):
+        code, out, err = run_cli(capsys, [command, "--grid", "256",
+                                          f"--lee-normalization={value}"])
+        assert code == 2 and out == "" and "lee-normalization" in err
     missing = tmp_path / "missing" / "x.json"
     code, out, err = run_cli(capsys, ["winding", "--grid", "256",
                                       "--out", str(missing)])
