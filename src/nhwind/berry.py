@@ -463,22 +463,28 @@ def _smooth_derivative(h: np.ndarray, dh: np.ndarray, energy: np.ndarray,
     return du
 
 
+def _check_derivative(derivative: str) -> str:
+    """``derivative`` itself if it names a derivative mode, else
+    ``ValueError``; callers check it before tracking anything."""
+    if derivative not in ("analytic", "fd4"):
+        raise ValueError(f"derivative must be 'analytic' or 'fd4', "
+                         f"got {derivative!r}")
+    return derivative
+
+
 def _connection_samples(traj: LoopTrajectory, derivative: str) -> np.ndarray:
     """Berry connection f(k) at every stored loop sample."""
     dk = traj.step
-    if derivative == "analytic":
+    if _check_derivative(derivative) == "analytic":
         h = hk(traj.model, traj.k_grid)
         du = _analytic_du(traj.model, traj.k_grid, h, traj.energies,
                           traj.energies_other,
                           _spinor(traj.gauge, traj.reference))
-    elif derivative == "fd4":
+    else:
         u = traj.states
         du = (-np.roll(u, -2, axis=0) + 8.0 * np.roll(u, -1, axis=0)
               - 8.0 * np.roll(u, 1, axis=0) + np.roll(u, 2, axis=0)
               ) / (12.0 * dk)
-    else:
-        raise ValueError(f"derivative must be 'analytic' or 'fd4', "
-                         f"got {derivative!r}")
     return _connection(traj.left_states, traj.states, du, dk)
 
 
@@ -536,15 +542,14 @@ def winding_lee(traj: LoopTrajectory, lee_normalization: float,
     whenever the true closure period is not ``2 pi * lee_normalization``;
     this op exists to make that mismatch explicit.
     """
-    return _per_zone(winding_number(berry_phase(traj, derivative)),
-                     lee_normalization)
+    _check_normalization(lee_normalization)
+    return winding_number(berry_phase(traj, derivative)) / lee_normalization
 
 
-def _per_zone(w: complex, lee_normalization: float) -> complex:
+def _check_normalization(lee_normalization: float) -> None:
     if lee_normalization == 0 or not np.isfinite(lee_normalization):
         raise ValueError(f"lee_normalization must be finite and nonzero, "
                          f"got {lee_normalization!r}")
-    return w / lee_normalization
 
 
 def band_winding(model: BlochModel, band: Band = Band.PLUS,
@@ -560,16 +565,14 @@ def band_winding(model: BlochModel, band: Band = Band.PLUS,
     step = _zone_step(grid_size)
     band = Band(band)
     gauge = Gauge(gauge)
+    _check_derivative(derivative)
     k_inc = np.arange(grid_size + 1) * step
     h, e_t, e_o, u, l, c = _tracked_segment(model, k_inc, gauge, band)
 
     if derivative == "analytic":
         du = _analytic_du(model, k_inc, h, e_t, e_o, c)
-    elif derivative == "fd4":
-        du = _fd4_segment(u, step)
     else:
-        raise ValueError(f"derivative must be 'analytic' or 'fd4', "
-                         f"got {derivative!r}")
+        du = _fd4_segment(u, step)
     return _segment_winding(_connection(l, u, du, step), step)
 
 
@@ -616,6 +619,7 @@ def split_check(model: BlochModel, gauge: Gauge = Gauge.TRANSPOSE,
     after a single zone have nothing to split and raise ``ValueError``.
     """
     gauge = Gauge(gauge)
+    _check_derivative(derivative)
     traj = loop_period(model, grid_size=grid_size, gauge=gauge)
     if abs(traj.period - 4.0 * np.pi) > traj.step:
         raise ValueError(
@@ -679,12 +683,13 @@ def winding_report(model: BlochModel, gauge: Gauge = Gauge.TRANSPOSE,
     band windings (independent quadratures, not halves of the loop).
     """
     gauge = Gauge(gauge)
+    _check_derivative(derivative)
+    if lee_normalization is not None:
+        _check_normalization(lee_normalization)
     traj = loop_period(model, grid_size=grid_size, gauge=gauge)
     gamma_b = berry_phase(traj, derivative=derivative)
     w = winding_number(gamma_b)
-    w_lee = None
-    if lee_normalization is not None:
-        w_lee = _per_zone(w, lee_normalization)
+    w_lee = None if lee_normalization is None else w / lee_normalization
     w_plus = w_minus = None
     if with_bands:
         w_plus = band_winding(model, Band.PLUS, gauge, grid_size, derivative)

@@ -332,7 +332,7 @@ class BlochModel:
             block = _locked(getattr(self, name))
             if block.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got {block.shape}")
-            if not np.all(np.isfinite(block.view(float))):
+            if not np.all(np.isfinite(block)):
                 raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, block)
 

@@ -366,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "2.0 for lee)")
     add_out(p, default_fmt="json")
 
-    p = sub.add_parser("chain", help="dense spectrum of one finite chain")
+    p = sub.add_parser("chain", help="spectrum of one finite chain")
     add_model(p)
     p.add_argument("--n", type=int, default=30, help="unit cells")
     p.add_argument("--bc", choices=("open", "periodic"), default="open")

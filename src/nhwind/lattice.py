@@ -1,17 +1,27 @@
 """Finite chains built from the two-band hopping blocks.
 
 Real-space Hamiltonians for ``n`` unit cells (2 sites per cell) under
-open or periodic boundaries, their dense spectra, biorthonormal left
+open or periodic boundaries, their spectra, biorthonormal left
 eigenvectors, inverse participation ratios, and the spectral summaries
 (mid-gap filtering, boundary scans) used to quantify the skin effect:
 under open boundaries a non-reciprocal chain piles its eigenstates onto
 one edge, its spectrum collapses toward the real axis for moderate
 sizes, and the gap shrinks as the chain grows.
 
+Open chains are diagonalized densely.  A periodic chain is block
+diagonal in momentum: at ``k_j = 2 pi j / n`` it maps the Bloch wave
+``e^{i k c} u`` (cell ``c``) to ``e^{i k c} h(k) u``, so its spectrum is
+the closed-form pair of roots of each ``h(k_j)`` from
+:mod:`nhwind.bloch`, and its eigenvectors are the unit Bloch waves
+``e^{i k c} / sqrt(n) (x) u(k)``.  A chain with a momentum sample that
+the loop would refuse (a scalar ``h(k)``, or an exceptional point on
+the grid) falls back to the dense solve.
+
 Left eigenvectors of strongly non-normal matrices are a conditioning
 trap.  :func:`left_vectors` takes them from the one dense solve, as the
 rows of the inverse of the right eigenvector matrix, which pairs them
-biorthonormally by construction (degenerate eigenvalues included).
+biorthonormally by construction (degenerate eigenvalues included); a
+periodic chain takes the same rows per momentum block.
 Whether those rows are trustworthy is decided by the per-eigenvalue
 condition numbers ``kappa_i = |l_i| |u_i| / |l_i . u_i|``: when the
 first-order eigenvalue error bound ``eps |h|_2 max kappa_i`` exceeds
@@ -29,7 +39,8 @@ from enum import Enum
 
 import numpy as np
 
-from .bloch import BlochModel
+from .berry import AmbiguousTracking, _check_diagonalizable
+from .bloch import BlochModel, Defective, _roots, hk
 
 __all__ = [
     "Boundary",
@@ -118,7 +129,7 @@ def eig_dense(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise np.linalg.LinAlgError(
             f"dense eigensolver failed on a {h.shape[0]}x{h.shape[1]} "
             f"matrix (norm {norm:.3e}, finite: "
-            f"{bool(np.all(np.isfinite(h.view(float))))}): {exc}") from exc
+            f"{bool(np.all(np.isfinite(h)))}): {exc}") from exc
     order = np.lexsort((values.imag, values.real))
     return values[order], vectors[:, order]
 
@@ -148,15 +159,25 @@ def left_vectors(h: np.ndarray, values: np.ndarray | None = None,
     overlap = np.abs(np.einsum("ij,ji->i", left, right))
     kappa = (np.linalg.norm(left, axis=1)
              * np.linalg.norm(right, axis=0) / overlap)
+    _check_pairing(kappa, np.linalg.norm(h, 2))
+    return left
+
+
+def _check_pairing(kappa: np.ndarray, norm2: float) -> None:
+    """Refuse a left/right pairing whose worst first-order eigenvalue
+    error bound ``eps norm2 kappa_i`` exceeds ``MATCH_TOL``.
+
+    ``kappa`` holds the condition numbers in eigenvalue order and
+    ``norm2`` is ``|h|_2``.
+    """
     worst = int(np.argmax(kappa))
-    bound = np.finfo(float).eps * np.linalg.norm(h, 2) * kappa[worst]
+    bound = np.finfo(float).eps * norm2 * kappa[worst]
     if not bound <= MATCH_TOL:
         raise MatchFailure(
             f"eigenvalue {worst} has condition number {kappa[worst]:.3e}, "
             f"so its first-order error bound {bound:.3e} exceeds "
             f"{MATCH_TOL:.0e}; the biorthogonal system is not resolvable "
             f"at this size")
-    return left
 
 
 def ipr(vectors: np.ndarray) -> np.ndarray:
@@ -190,14 +211,15 @@ def defectiveness(source) -> float:
     matrix: 1 for an orthonormal basis, 0 for a defective one.
 
     ``source`` is a :class:`ChainSpectrum` (its right-eigenvector
-    matrix is used) or the matrix itself.
+    matrix is used), the matrix itself, or a stack of matrices, shape
+    ``(..., m, m)``, taken as their direct sum.
     """
     if isinstance(source, ChainSpectrum):
         vectors = source.right_vectors
     else:
         vectors = np.asarray(source, dtype=complex)
     s = np.linalg.svd(vectors, compute_uv=False)
-    return float(s[-1] / s[0])
+    return float(s.min() / s.max())
 
 
 @dataclass(frozen=True)
@@ -236,11 +258,12 @@ def spectral_gap(values: np.ndarray, iprs: np.ndarray) -> GapReport:
 
 @dataclass(frozen=True)
 class ChainSpectrum:
-    """Dense spectrum of one finite chain with its summary statistics.
+    """Spectrum of one finite chain with its summary statistics.
 
     ``right_vectors`` columns are unit right eigenstates in eigenvalue
-    order; ``left_vectors`` rows (when computed) are the rows of the
-    inverse right eigenvector matrix, so
+    order (unit Bloch waves for a periodic chain taken from its
+    momentum blocks); ``left_vectors`` rows (when computed) are the
+    rows of the inverse right eigenvector matrix, so
     ``left_vectors[i] @ right_vectors[:, i] = 1``, computed only when
     every eigenvalue's condition number passes the gate of
     :func:`left_vectors`.
@@ -285,19 +308,76 @@ class ChainSpectrum:
         return 2 * self.n_cells
 
 
+def _bloch_waves(model: BlochModel, n_cells: int, with_left: bool = False):
+    """Eigensystem of the periodic chain from its momentum blocks.
+
+    At ``k_j = 2 pi j / n_cells`` the eigenvalues are the closed-form
+    roots of ``h(k_j)``, the right vectors the unit Bloch waves
+    ``e^{i k c} / sqrt(n) (x) u(k)`` and, with ``with_left``, the left
+    vectors the rows ``e^{-i k c} / sqrt(n) (x) l(k)`` with ``l(k)`` a
+    row of ``inv([u_1(k), u_2(k)])``, gated like :func:`left_vectors`.
+    The Fourier factor is unitary, so ``|h|_2 = max_k |h(k)|_2``, the
+    condition number of a pair is ``|l(k)|`` and the eigenvector matrix
+    has the singular values of the blocks ``[u_1(k), u_2(k)]``.
+
+    Returns ``(values, right, left, defectiveness)`` in the order of
+    :func:`eig_dense` (``left`` is ``None`` without ``with_left``), or
+    ``None`` where the dense path must decide: a sample the loop
+    refuses (scalar ``h(k)``, or eigenvectors parallel to within
+    ``PATH_DEFECTIVE_TOL``), and ``n_cells < 1``, which
+    :func:`build_chain` rejects.
+    """
+    if n_cells < 1:
+        return None
+    k = 2.0 * np.pi * np.arange(n_cells) / n_cells
+    h = hk(model, k)
+    e1, e2 = _roots(h)
+    try:
+        u1, u2 = _check_diagonalizable(h, e1, e2, k)
+    except (AmbiguousTracking, Defective):
+        return None
+    blocks = np.stack([u1, u2], axis=-1)
+    values = np.stack([e1, e2], axis=-1).ravel()
+    order = np.lexsort((values.imag, values.real))
+    # e^{i k_j c} from (j c mod n), so the phase stays exact for long chains.
+    cells = np.arange(n_cells)
+    wave = (np.exp(2j * np.pi * (np.outer(cells, cells) % n_cells) / n_cells)
+            / np.sqrt(n_cells))
+    size = 2 * n_cells
+    right = np.einsum("cj,jab->cajb", wave, blocks).reshape(size, size)
+    left = None
+    if with_left:
+        inverse = np.linalg.inv(blocks)
+        _check_pairing(np.linalg.norm(inverse, axis=-1).ravel()[order],
+                       np.max(np.linalg.norm(h, 2, axis=(-2, -1))))
+        left = np.einsum("cj,jba->jbca", wave.conj(),
+                         inverse).reshape(size, size)[order]
+    return values[order], right[:, order], left, defectiveness(blocks)
+
+
 def chain_spectrum(model: BlochModel, n_cells: int,
                    bc: Boundary = Boundary.OPEN,
                    with_left: bool = False) -> ChainSpectrum:
     """Build, diagonalize, and summarize one chain.
 
-    ``with_left=True`` additionally pairs left eigenvectors from the
-    same solve, which raises :class:`MatchFailure` for open skin-effect
-    chains beyond a handful of cells; everything else is pairing-free.
+    Open chains go through one dense solve; periodic chains are taken
+    from their momentum blocks, or densely when a momentum sample is
+    scalar or an exceptional point.  ``with_left=True`` additionally
+    pairs left eigenvectors (the rows of the inverse right eigenvector
+    matrix, per block for periodic chains), which raises
+    :class:`MatchFailure` for open skin-effect chains beyond a handful
+    of cells; everything else is pairing-free.
     """
     bc = Boundary(bc)
-    h = build_chain(model, n_cells, bc)
-    values, right = eig_dense(h)
-    left = left_vectors(h, values, right) if with_left else None
+    waves = (_bloch_waves(model, n_cells, with_left)
+             if bc is Boundary.PERIODIC else None)
+    if waves is None:
+        h = build_chain(model, n_cells, bc)
+        values, right = eig_dense(h)
+        left = left_vectors(h, values, right) if with_left else None
+        defect = defectiveness(right)
+    else:
+        values, right, left, defect = waves
     iprs = ipr(right)
     report = spectral_gap(values, iprs)
     return ChainSpectrum(
@@ -305,7 +385,7 @@ def chain_spectrum(model: BlochModel, n_cells: int,
         eigenvalues=values, right_vectors=right, left_vectors=left,
         iprs=iprs, max_abs_imag=float(np.max(np.abs(values.imag))),
         gap=report.gap, midgap_threshold=report.midgap_threshold,
-        excluded=report.excluded, defectiveness=defectiveness(right))
+        excluded=report.excluded, defectiveness=defect)
 
 
 @dataclass(frozen=True)
@@ -338,17 +418,28 @@ def localization_profile(spectrum: ChainSpectrum, side: str = "right",
                          ) -> LocalizationProfile:
     """Site-resolved weights of all right or left eigenstates.
 
-    ``side="left"`` rebuilds the chain, diagonalizes its transpose,
-    and uses that spectrum directly: participation ratios need no
+    ``side="left"`` takes the right eigenstates of the transposed
+    chain and uses that spectrum directly: participation ratios need no
     left/right pairing, so this works even where :func:`left_vectors`
-    must refuse.
+    must refuse.  A periodic chain's transpose is the periodic chain of
+    the model with blocks ``(hop_plus.T, hop_zero.T, hop_minus.T)``,
+    taken from its momentum blocks like :func:`chain_spectrum`; other
+    chains are rebuilt and their transpose is diagonalized densely.
     """
     if side == "right":
         values = spectrum.eigenvalues
         vectors = spectrum.right_vectors
     elif side == "left":
-        h = build_chain(spectrum.model, spectrum.n_cells, spectrum.bc)
-        values, vectors = eig_dense(h.T)
+        waves = None
+        if spectrum.bc is Boundary.PERIODIC:
+            mm, m0, mp = spectrum.model.blocks()
+            waves = _bloch_waves(BlochModel(mp.T, m0.T, mm.T),
+                                 spectrum.n_cells)
+        if waves is None:
+            h = build_chain(spectrum.model, spectrum.n_cells, spectrum.bc)
+            values, vectors = eig_dense(h.T)
+        else:
+            values, vectors = waves[:2]
     else:
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     iprs = ipr(vectors)
@@ -386,7 +477,9 @@ def spectrum_scan(model: BlochModel, n_list,
     """Per-length spectral summaries at one boundary condition.
 
     Lengths are processed independently (results do not depend on the
-    order or on any shared state), each through one dense solve.
+    order or on any shared state), each through :func:`chain_spectrum`:
+    one dense solve for an open chain, the momentum blocks for a
+    periodic one.
     """
     bc = Boundary(bc)
     rows = []

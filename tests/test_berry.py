@@ -284,6 +284,20 @@ def test_derivative_mode_is_validated(lee_default):
         berry_phase(traj, derivative="fd2")
 
 
+def test_arguments_are_checked_before_tracking(monkeypatch, lee_default):
+    def no_tracking(*args, **kwargs):
+        raise AssertionError("tracked before checking the arguments")
+
+    monkeypatch.setattr("nhwind.berry._tracked_segment", no_tracking)
+    with pytest.raises(ValueError, match="lee_normalization"):
+        winding_report(lee_default, lee_normalization=np.nan)
+    for call in (lambda: winding_report(lee_default, derivative="fd5"),
+                 lambda: band_winding(lee_default, derivative="fd5"),
+                 lambda: split_check(lee_default, derivative="fd5")):
+        with pytest.raises(ValueError, match="derivative"):
+            call()
+
+
 def test_winding_lee_normalization_identities(demo_model):
     traj = loop_period(demo_model, 4096, Gauge.FIRST_COMPONENT_ONE)
     w = winding_number(berry_phase(traj))

@@ -75,6 +75,21 @@ def test_model_validation():
         lee(v=np.nan)
 
 
+def test_model_accepts_transposed_blocks():
+    # Transposes are F-ordered views; the model must take them like any
+    # other 2x2 array, and still refuse non-finite entries in them.
+    rng = np.random.default_rng(7)
+    for dtype in (float, complex):
+        blocks = [rng.normal(size=(2, 2)).astype(dtype) for _ in range(3)]
+        model = BlochModel(*(b.T for b in blocks))
+        copy = BlochModel(*(np.ascontiguousarray(b.T) for b in blocks))
+        for got, want in zip(model.blocks(), copy.blocks()):
+            assert np.array_equal(got, want)
+    bad = np.array([[0.0, np.nan], [0.0, 0.0]]).T
+    with pytest.raises(ValueError, match="non-finite"):
+        BlochModel(bad, np.zeros((2, 2)), np.zeros((2, 2)))
+
+
 def test_model_immutability():
     model = lee()
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import multiset_distance
-from nhwind import (Boundary, ChainSpectrum, MatchFailure, build_chain,
-                    chain_spectrum, classify, defectiveness, demo, eig_dense,
-                    hk, ipr, lee, left_vectors, localization_profile,
-                    spectral_gap, spectrum_scan)
+from nhwind import (BlochModel, Boundary, ChainSpectrum, MatchFailure,
+                    build_chain, chain_spectrum, classify, defectiveness,
+                    demo, eig_dense, hk, ipr, lee, left_vectors,
+                    localization_profile, spectral_gap, spectrum_scan)
 
 # Frozen lee-default observables at 30 cells.
 GAP_30 = 0.716589
@@ -248,3 +248,117 @@ def test_spectrum_scan_rows_match_single_spectra(lee_default):
 def test_boundary_enum_round_trip():
     assert Boundary("open") is Boundary.OPEN
     assert Boundary("periodic") is Boundary.PERIODIC
+
+
+def test_eig_dense_failure_diagnostics_on_transposed_matrix():
+    # A transpose is F-ordered; the finiteness diagnostic must not trip
+    # over it and replace the solver error.
+    bad = np.array([[np.nan, 0.0], [1.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="finite: False"):
+        eig_dense(bad.T)
+
+
+# Models for the momentum-block path: braided, trivial Hermitian,
+# unbraided non-Hermitian, Hermitian with E(k) = E(-k), flat bands.
+BLOCH_MODELS = (lee(), lee(0.7, 0.5, 0.0), lee(0.6, 0.4, 0.5),
+                lee(gamma=0.0), demo())
+BLOCH_SIZES = (1, 2, 3, 17, 64)
+
+
+def test_periodic_spectrum_from_momentum_blocks_matches_dense():
+    for model in BLOCH_MODELS:
+        for n in BLOCH_SIZES:
+            h = build_chain(model, n, Boundary.PERIODIC)
+            norm = np.linalg.norm(h, 2)
+            spectrum = chain_spectrum(model, n, Boundary.PERIODIC,
+                                      with_left=True)
+            values = spectrum.eigenvalues
+            right, left = spectrum.right_vectors, spectrum.left_vectors
+            tag = (model.label, n)
+            assert multiset_distance(values, eig_dense(h)[0]) \
+                <= 1e-12 * norm, tag
+            assert np.linalg.norm(h @ right - right * values, 2) \
+                <= 1e-13 * norm, tag
+            assert np.linalg.norm(left @ h - values[:, None] * left, 2) \
+                <= 1e-13 * norm, tag
+            assert np.linalg.norm(left @ right - np.eye(2 * n), 2) \
+                <= 1e-12, tag
+            assert spectrum.defectiveness == pytest.approx(
+                defectiveness(spectrum), rel=1e-12), tag
+            assert np.array_equal(spectrum.iprs, ipr(right)), tag
+
+
+def test_periodic_left_profile_matches_transposed_dense_solve():
+    # Non-degenerate lee(): every eigenvalue of h.T matches one state of
+    # the profile, and the two states carry the same participation ratio.
+    for n in (3, 17, 64):
+        spectrum = chain_spectrum(lee(), n, Boundary.PERIODIC)
+        profile = localization_profile(spectrum, side="left")
+        values, vectors = eig_dense(build_chain(lee(), n,
+                                                Boundary.PERIODIC).T)
+        match = np.argmin(np.abs(profile.eigenvalues[:, None]
+                                 - values[None, :]), axis=1)
+        assert np.array_equal(np.sort(match), np.arange(2 * n))
+        assert np.max(np.abs(profile.eigenvalues - values[match])) < 1e-12
+        assert np.max(np.abs(profile.iprs - ipr(vectors)[match])) < 1e-12
+
+
+def test_periodic_chain_with_on_grid_exceptional_point_stays_dense():
+    # lee(0.75, 0.5, 0.5) coalesces at k = pi, a sample of every even
+    # ring: the chain falls back to the dense path, bit for bit, and
+    # still pairs as it did before the momentum-block path existed.
+    model = lee(0.75, 0.5, 0.5)
+    h = build_chain(model, 4, Boundary.PERIODIC)
+    values, right = eig_dense(h)
+    spectrum = chain_spectrum(model, 4, Boundary.PERIODIC, with_left=True)
+    assert np.array_equal(spectrum.eigenvalues, values)
+    assert np.array_equal(spectrum.right_vectors, right)
+    assert np.array_equal(spectrum.left_vectors,
+                          left_vectors(h, values, right))
+    assert np.array_equal(spectrum.iprs, ipr(right))
+    assert spectrum.defectiveness == defectiveness(right)
+    profile = localization_profile(spectrum, side="left")
+    left_values, left_states = eig_dense(h.T)
+    assert np.array_equal(profile.eigenvalues, left_values)
+    assert np.array_equal(profile.iprs, ipr(left_states))
+
+
+def test_periodic_chain_with_scalar_sample_stays_dense():
+    # h(k) = (cos k - 1) sigma_x vanishes at k = 0, a sample of every
+    # ring, so the momentum blocks cannot label its states.
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    model = BlochModel(0.5 * sigma_x, -sigma_x, 0.5 * sigma_x)
+    h = build_chain(model, 5, Boundary.PERIODIC)
+    values, right = eig_dense(h)
+    spectrum = chain_spectrum(model, 5, Boundary.PERIODIC, with_left=True)
+    assert np.array_equal(spectrum.eigenvalues, values)
+    assert np.array_equal(spectrum.right_vectors, right)
+    assert np.array_equal(spectrum.left_vectors,
+                          left_vectors(h, values, right))
+
+
+def test_periodic_hermitian_chains_get_orthonormal_bloch_bases():
+    # Degenerate momenta (E(k) = E(-k), the near-scalar h(pi) of
+    # lee(0.5, 0.5, 0), demo()'s flat bands) leave the dense solver a
+    # free mixture; the Bloch waves are an orthonormal choice, each
+    # spread evenly over the cells.
+    for model in (lee(gamma=0.0), lee(0.5, 0.5, 0.0), demo()):
+        for n in (10, 30):
+            spectrum = chain_spectrum(model, n, Boundary.PERIODIC)
+            assert spectrum.defectiveness == pytest.approx(1.0, abs=1e-12)
+            assert np.max(spectrum.iprs) <= (1.0 + 1e-12) / n
+
+
+def test_periodic_pairing_gate_agrees_with_dense_gate():
+    # Both paths refuse or accept together, with the same message.
+    for scale in (1.0, 1e6, 1e9):
+        model = BlochModel(*(scale * b for b in lee().blocks()))
+        h = build_chain(model, 6, Boundary.PERIODIC)
+        try:
+            left_vectors(h)
+        except MatchFailure as exc:
+            with pytest.raises(MatchFailure, match="condition number"):
+                chain_spectrum(model, 6, Boundary.PERIODIC, with_left=True)
+            assert "condition number" in str(exc)
+        else:
+            chain_spectrum(model, 6, Boundary.PERIODIC, with_left=True)
