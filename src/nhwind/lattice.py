@@ -8,14 +8,17 @@ under open boundaries a non-reciprocal chain piles its eigenstates onto
 one edge, its spectrum collapses toward the real axis for moderate
 sizes, and the gap shrinks as the chain grows.
 
-Open chains are diagonalized densely.  A periodic chain is block
-diagonal in momentum: at ``k_j = 2 pi j / n`` it maps the Bloch wave
-``e^{i k c} u`` (cell ``c``) to ``e^{i k c} h(k) u``, so its spectrum is
-the closed-form pair of roots of each ``h(k_j)`` from
+Open chains are diagonalized densely: an exactly Hermitian chain
+(``h == h^dagger`` entry for entry, as at ``gamma = 0`` and for
+``demo()``) by the Hermitian solver, any other by the general
+non-symmetric one, which balances before its QR sweep.  A periodic
+chain is block diagonal in momentum: at ``k_j = 2 pi j / n`` it maps
+the Bloch wave ``e^{i k c} u`` (cell ``c``) to ``e^{i k c} h(k) u``, so
+its spectrum is the closed-form pair of roots of each ``h(k_j)`` from
 :mod:`nhwind.bloch`, and its eigenvectors are the unit Bloch waves
 ``e^{i k c} / sqrt(n) (x) u(k)``.  A chain with a momentum sample that
 the loop would refuse (a scalar ``h(k)``, or an exceptional point on
-the grid) falls back to the dense solve.
+the grid) falls back to the dense solve, Hermitian or general.
 
 Left eigenvectors of strongly non-normal matrices are a conditioning
 trap.  :func:`left_vectors` takes them from the one dense solve, as the
@@ -24,12 +27,12 @@ biorthonormally by construction (degenerate eigenvalues included); a
 periodic chain takes the same rows per momentum block.
 Whether those rows are trustworthy is decided by the per-eigenvalue
 condition numbers ``kappa_i = |l_i| |u_i| / |l_i . u_i|``: when the
-first-order eigenvalue error bound ``eps |h|_2 max kappa_i`` exceeds
-1e-8, as it does for open skin-effect chains beyond a handful of
-cells, the pairing is refused with :class:`MatchFailure` instead of
-returning rows that are no longer left eigenvectors.  Participation
-ratios of the left set do not need pairing at all, so
-:func:`localization_profile` diagonalizes the transpose for
+first-order eigenvalue error bound relative to ``|h|_2``,
+``eps max kappa_i``, exceeds 1e-8, as it does for open skin-effect
+chains beyond a handful of cells, the pairing is refused with
+:class:`MatchFailure` instead of returning rows that are no longer left
+eigenvectors.  Participation ratios of the left set do not need pairing
+at all, so :func:`localization_profile` diagonalizes the transpose for
 ``side="left"`` and works where pairing must refuse.
 """
 from __future__ import annotations
@@ -61,8 +64,8 @@ __all__ = [
     "spectrum_scan",
 ]
 
-# Largest first-order eigenvalue error bound, eps |h|_2 max_i kappa_i,
-# at which left/right pairing is still trusted.
+# Largest first-order eigenvalue error bound relative to |h|_2,
+# eps max_i kappa_i, at which left/right pairing is still trusted.
 MATCH_TOL = 1e-8
 # Participation-ratio thresholds: extended states spread over the whole
 # chain (ipr near 1/size), localized states over a few sites.
@@ -70,8 +73,10 @@ LOCALIZED_IPR = 0.1
 EXTENDED_FACTOR = 3.0
 # An eigenvalue counts as genuinely complex above this |Im|.
 COMPLEX_IM_THRESHOLD = 1e-2
-# The dense solver applies a diagonal similarity (balancing) before the
-# QR sweep; recorded in command-line metadata for reproducibility.
+# The non-symmetric dense solver applies a diagonal similarity
+# (balancing) before the QR sweep; recorded in command-line metadata for
+# reproducibility.  Hermitian chains (the Hermitian solver) and periodic
+# chains taken from their momentum blocks run no balanced solve.
 BALANCING = "on"
 
 
@@ -117,13 +122,22 @@ def eig_dense(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unit right eigenvectors, sorted by (Re, Im).
 
     Column ``j`` of the returned vectors goes with eigenvalue ``j``.
-    The solver balances the matrix (diagonal similarity) before the QR
-    sweep; eigenvalues are invariant under that scaling.  A failure to
-    converge is re-raised with matrix diagnostics attached.
+    An exactly Hermitian ``h`` (``h == h^dagger`` entry for entry) goes
+    to the Hermitian solver: its eigenvalues are real (imaginary part
+    exactly 0) and its vectors orthonormal, degenerate eigenspaces
+    included.  Any other ``h``, one holding a NaN too, goes to the
+    general solver, which balances the matrix (diagonal similarity)
+    before the QR sweep; eigenvalues are invariant under that scaling.
+    A failure to converge is re-raised with matrix diagnostics
+    attached.
     """
     h = np.asarray(h, dtype=complex)
     try:
-        values, vectors = np.linalg.eig(h)
+        if np.array_equal(h, h.conj().T):
+            values, vectors = np.linalg.eigh(h)
+            values = values.astype(complex)
+        else:
+            values, vectors = np.linalg.eig(h)
     except np.linalg.LinAlgError as exc:
         norm = float(np.linalg.norm(h)) if h.size else 0.0
         raise np.linalg.LinAlgError(
@@ -143,11 +157,12 @@ def left_vectors(h: np.ndarray, values: np.ndarray | None = None,
     ``inv(right)``, biorthonormal to the right vectors by construction.
     Each pair's condition number ``kappa_i = |l_i| |u_i| / |l_i . u_i|``
     bounds the first-order error of eigenvalue ``i`` by
-    ``eps |h|_2 kappa_i``; when the worst bound exceeds ``MATCH_TOL``,
-    or ``right`` is singular, :class:`MatchFailure` is raised, because
-    the rows are then no longer left eigenvectors to working precision.
+    ``eps |h|_2 kappa_i``; when the worst bound relative to ``|h|_2``,
+    ``eps max kappa_i``, exceeds ``MATCH_TOL``, or ``right`` is
+    singular, :class:`MatchFailure` is raised, because the rows are then
+    no longer left eigenvectors to working precision.  The gate does not
+    change when ``h`` is scaled.
     """
-    h = np.asarray(h, dtype=complex)
     if values is None or right is None:
         _, right = eig_dense(h)
     try:
@@ -159,23 +174,23 @@ def left_vectors(h: np.ndarray, values: np.ndarray | None = None,
     overlap = np.abs(np.einsum("ij,ji->i", left, right))
     kappa = (np.linalg.norm(left, axis=1)
              * np.linalg.norm(right, axis=0) / overlap)
-    _check_pairing(kappa, np.linalg.norm(h, 2))
+    _check_pairing(kappa)
     return left
 
 
-def _check_pairing(kappa: np.ndarray, norm2: float) -> None:
+def _check_pairing(kappa: np.ndarray) -> None:
     """Refuse a left/right pairing whose worst first-order eigenvalue
-    error bound ``eps norm2 kappa_i`` exceeds ``MATCH_TOL``.
+    error bound relative to ``|h|_2``, ``eps kappa_i``, exceeds
+    ``MATCH_TOL``.
 
-    ``kappa`` holds the condition numbers in eigenvalue order and
-    ``norm2`` is ``|h|_2``.
+    ``kappa`` holds the condition numbers in eigenvalue order.
     """
     worst = int(np.argmax(kappa))
-    bound = np.finfo(float).eps * norm2 * kappa[worst]
+    bound = np.finfo(float).eps * kappa[worst]
     if not bound <= MATCH_TOL:
         raise MatchFailure(
             f"eigenvalue {worst} has condition number {kappa[worst]:.3e}, "
-            f"so its first-order error bound {bound:.3e} exceeds "
+            f"so its relative first-order error bound {bound:.3e} exceeds "
             f"{MATCH_TOL:.0e}; the biorthogonal system is not resolvable "
             f"at this size")
 
@@ -316,9 +331,9 @@ def _bloch_waves(model: BlochModel, n_cells: int, with_left: bool = False):
     ``e^{i k c} / sqrt(n) (x) u(k)`` and, with ``with_left``, the left
     vectors the rows ``e^{-i k c} / sqrt(n) (x) l(k)`` with ``l(k)`` a
     row of ``inv([u_1(k), u_2(k)])``, gated like :func:`left_vectors`.
-    The Fourier factor is unitary, so ``|h|_2 = max_k |h(k)|_2``, the
-    condition number of a pair is ``|l(k)|`` and the eigenvector matrix
-    has the singular values of the blocks ``[u_1(k), u_2(k)]``.
+    The Fourier factor is unitary, so the condition number of a pair is
+    ``|l(k)|`` and the eigenvector matrix has the singular values of the
+    blocks ``[u_1(k), u_2(k)]``.
 
     Returns ``(values, right, left, defectiveness)`` in the order of
     :func:`eig_dense` (``left`` is ``None`` without ``with_left``), or
@@ -348,8 +363,7 @@ def _bloch_waves(model: BlochModel, n_cells: int, with_left: bool = False):
     left = None
     if with_left:
         inverse = np.linalg.inv(blocks)
-        _check_pairing(np.linalg.norm(inverse, axis=-1).ravel()[order],
-                       np.max(np.linalg.norm(h, 2, axis=(-2, -1))))
+        _check_pairing(np.linalg.norm(inverse, axis=-1).ravel()[order])
         left = np.einsum("cj,jba->jbca", wave.conj(),
                          inverse).reshape(size, size)[order]
     return values[order], right[:, order], left, defectiveness(blocks)

@@ -362,3 +362,64 @@ def test_periodic_pairing_gate_agrees_with_dense_gate():
             assert "condition number" in str(exc)
         else:
             chain_spectrum(model, 6, Boundary.PERIODIC, with_left=True)
+
+
+def test_eig_dense_hermitian_chain_takes_hermitian_solver():
+    # gamma = 0 makes the open chain exactly Hermitian: real eigenvalues
+    # and an orthonormal basis, the same spectrum as the general solver.
+    h = build_chain(lee(0.8, 0.5, 0.0), 30)
+    assert np.array_equal(h, h.conj().T)
+    norm = np.linalg.norm(h, 2)
+    values, vectors = eig_dense(h)
+    assert np.all(values.imag == 0.0)
+    assert multiset_distance(values, np.linalg.eig(h)[0]) <= 1e-12 * norm
+    assert np.linalg.norm(h @ vectors - vectors * values, 2) \
+        <= 1e-13 * norm
+    assert np.abs(vectors.conj().T @ vectors - np.eye(60)).max() <= 1e-13
+
+
+def test_eig_dense_one_ulp_from_hermitian_takes_general_solver(monkeypatch):
+    h = build_chain(lee(0.8, 0.5, 0.0), 30)
+    near = h.copy()
+    near[0, 1] = np.nextafter(near[0, 1].real, np.inf) + 1j * near[0, 1].imag
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the Hermitian solver was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    values, vectors = eig_dense(near)
+    assert values.shape == (60,) and vectors.shape == (60, 60)
+    with pytest.raises(AssertionError, match="Hermitian solver"):
+        eig_dense(h)
+
+
+def test_eig_dense_hermitian_failure_carries_diagnostics(monkeypatch):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"dense eigensolver failed on a 60x60 matrix "
+                             r"\(norm .*, finite: True\): Eigenvalues did "
+                             r"not converge"):
+        eig_dense(build_chain(lee(0.8, 0.5, 0.0), 30))
+
+
+def test_pairing_gate_is_scale_free():
+    # The gate reads eps max kappa_i, which scaling h leaves alone: a
+    # well-conditioned chain pairs at any scale, a skin-effect chain
+    # refuses at any scale, on the dense and the momentum-block path.
+    cases = ((6, Boundary.OPEN, True), (10, Boundary.OPEN, False),
+             (6, Boundary.PERIODIC, True))
+    for scale in (1.0, 1e9, 1e-9):
+        model = BlochModel(*(scale * b for b in lee().blocks()))
+        for n, bc, pairs in cases:
+            h = build_chain(model, n, bc)
+            if pairs:
+                left_vectors(h)
+                chain_spectrum(model, n, bc, with_left=True)
+            else:
+                with pytest.raises(MatchFailure, match="condition number"):
+                    left_vectors(h)
+                with pytest.raises(MatchFailure, match="condition number"):
+                    chain_spectrum(model, n, bc, with_left=True)
