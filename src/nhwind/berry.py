@@ -75,9 +75,9 @@ from typing import Callable
 import numpy as np
 
 from .bloch import (_GAUGES, GAUGE_TOL, BlochModel, Defective, Gauge,
-                    GaugeSingular, _energy_derivative, _fix_gauge,
-                    _null_rows, _parallelism, _pinned_row, _roots,
-                    _unit_vectors, hk, hk_derivative)
+                    GaugeSingular, _dot, _energy_derivative, _fix_gauge,
+                    _norm, _null_rows, _parallelism, _pinned_row, _project,
+                    _roots, _unit_vectors, hk, hk_derivative)
 
 __all__ = [
     "AmbiguousTracking",
@@ -197,9 +197,9 @@ def _check_diagonalizable(h: np.ndarray, e1: np.ndarray, e2: np.ndarray,
     point before branch tracking can trip over its degenerate tie.  A
     scalar sample, whose branches carry no eigenvector identity, raises
     :class:`AmbiguousTracking`.  Returns the unit right vectors of
-    ``e1`` and ``e2``.
+    ``e1`` and ``e2``, component-major.
     """
-    scale = np.linalg.norm(h, axis=(-2, -1))
+    scale = _norm(h.reshape(-1, 4).T)  # Frobenius norm of each sample
     units = []
     for energy in (e1, e2):
         unit, norm = _unit_vectors(h, energy)
@@ -223,7 +223,7 @@ def _overlap_resolver(e1: np.ndarray, r1: np.ndarray, r2: np.ndarray,
     """Tie-breaker: overlap of each candidate with the previous state.
 
     ``r1``/``r2`` are the unit right vectors of the roots ``e1`` and the
-    other one at every sample.  The previous left direction is the
+    other one, one row per sample.  The previous left direction is the
     adjugate row of the previous *other*-branch vector, so it
     annihilates the branch a crossover would land on and is maximal on
     the true continuation.
@@ -244,22 +244,23 @@ def _tracked_segment(model: BlochModel, k_inc: np.ndarray, gauge: Gauge,
     runs the per-sample health checks and fixes the gauge on the tracked
     branch.  Returns ``(h, tracked, other, u, l, c)``: the energies of
     both branches, the gauge-fixed right and left vectors of the tracked
-    one (see :func:`nhwind.bloch._fix_gauge`) and the spinor ``c`` with
-    ``c @ u = 1``, chosen over the tracked branch in the smooth gauge.
+    one (see :func:`nhwind.bloch._fix_gauge`), component-major, and the
+    spinor ``c`` with ``c @ u = 1``, chosen over the tracked branch in
+    the smooth gauge.
     """
     h = hk(model, k_inc)
     e1, e2 = _roots(h)
     r1, r2 = _check_diagonalizable(h, e1, e2, k_inc)
     try:
         e_t, e_o = _track_branches(e1, e2, start_band,
-                                   _overlap_resolver(e1, r1, r2))
+                                   _overlap_resolver(e1, r1.T, r2.T))
     except AmbiguousTracking as exc:
         raise AmbiguousTracking(f"{exc} (of {k_inc.size} samples on "
                                 f"[0, {k_inc[-1]:.6f}])") from exc
     # The tracker copies each energy from e1 or e2, so equality tells
     # which root's unit vector the branch took at every sample.
     swap = e_t != e1
-    r1[swap], r2[swap] = r2[swap], r1[swap]
+    r1, r2 = np.where(swap, r2, r1), np.where(swap, r1, r2)
     u, l, c = _fix_gauge(h, e_t, e_o, r1, r2, gauge)
     return h, e_t, e_o, u, l, c
 
@@ -276,7 +277,10 @@ class LoopTrajectory:
     gauges with inverse pairing, the right vectors themselves in the
     transpose gauge.  ``reference`` is the smooth gauge's spinor ``c``
     (``c @ u = 1`` at every sample) and ``None`` in the other gauges,
-    whose spinor the gauge itself fixes.  Construction re-validates
+    whose spinor the gauge itself fixes.  The state arrays have shape
+    ``(m, 2)``; the loop stores them as transposed views of
+    component-major ``(2, m)`` arrays, so ``states.T[0]`` and
+    ``states.T[1]`` are contiguous.  Construction re-validates
     continuity (no step flips the splitting ``energies -
     energies_other``, the tracking rule of :func:`_turns`), the
     left/right pairing rule of the gauge, the
@@ -323,12 +327,12 @@ class LoopTrajectory:
         if np.any(flip) or not np.all(split):
             raise ValueError("stored samples are not a continuously "
                              "tracked branch")
-        pairing = np.einsum("mi,mi->m", l, u)
+        pairing = _dot(l.T, u.T)
         if _GAUGES[self.gauge][1]:
             if not np.array_equal(l, u):
                 raise ValueError("transpose-gauge loops store left_states "
                                  "equal to states verbatim")
-            norms_sq = np.sum(np.abs(u) ** 2, axis=-1)
+            norms_sq = np.abs(u.T[0]) ** 2 + np.abs(u.T[1]) ** 2
             if np.any(np.abs(pairing) < GAUGE_TOL * norms_sq):
                 raise GaugeSingular(
                     f"gauge {self.gauge.value!r}: stored loop contains a "
@@ -345,7 +349,8 @@ class LoopTrajectory:
         elif c is not None:
             raise ValueError("only smooth-gauge loops carry a reference "
                              "spinor")
-        if np.max(np.abs(u @ _spinor(self.gauge, c) - 1.0)) > 1e-9:
+        c_dot_u = _project(_spinor(self.gauge, c), u.T)
+        if np.max(np.abs(c_dot_u - 1.0)) > 1e-9:
             raise ValueError("stored states are not normalized to "
                              "c @ u = 1")
         if not (np.isfinite(self.closure_error)
@@ -417,14 +422,16 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
         _, e_t, e_o, u, l, c = _tracked_segment(model, k_inc, gauge,
                                                 start_band)
         err_e = abs(e_t[-1] - e_t[0]) / max(1.0, abs(e_t[0]))
-        err_u = np.max(abs(u[-1] - u[0])) / max(1.0, np.max(abs(u[0])))
+        err_u = (np.max(abs(u[:, -1] - u[:, 0]))
+                 / max(1.0, np.max(abs(u[:, 0]))))
         closure = float(max(err_e, err_u))
         if closure <= CLOSURE_TOL:
             return LoopTrajectory(
                 model=model, gauge=gauge, start_band=start_band,
                 period=zones * 2.0 * np.pi, k_grid=k_inc[:-1],
                 energies=e_t[:-1], energies_other=e_o[:-1],
-                states=u[:-1], left_states=l[:-1], closure_error=closure,
+                states=u[:, :-1].T, left_states=l[:, :-1].T,
+                closure_error=closure,
                 reference=c if gauge is Gauge.SMOOTH else None)
     raise NoClosure(
         f"branch of {model.label} fails to close after two Brillouin "
@@ -434,8 +441,8 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
 def _analytic_du(model: BlochModel, k: np.ndarray, h: np.ndarray,
                  e_t: np.ndarray, e_o: np.ndarray, reference: np.ndarray,
                  ) -> np.ndarray:
-    """d u / d k per sample in any gauge: the quotient rule on
-    ``u = r / (c @ r)`` with ``c = reference``."""
+    """d u / d k per sample in any gauge, component-major: the quotient
+    rule on ``u = r / (c @ r)`` with ``c = reference``."""
     dh = hk_derivative(model, k)
     de = _energy_derivative(h, dh, e_t, e_o)
     return _smooth_derivative(h, dh, e_t, de, reference)
@@ -453,13 +460,12 @@ def _smooth_derivative(h: np.ndarray, dh: np.ndarray, energy: np.ndarray,
     Both rows give the same ``u``, so the choice of row cancels out.
     ``c @ u = 1`` along the path, so ``c @ du = 0``; the last step
     restores that to round-off, which keeps the derivative of a pinned
-    basis component exactly 0.
+    basis component exactly 0.  All vectors are component-major.
     """
     r, cr, use1 = _pinned_row(h, energy, reference)
-    dr = np.where(use1[..., None], *_null_rows(dh, denergy))
-    cr = cr[..., None]
-    du = (dr * cr - r * (dr @ reference)[..., None]) / (cr * cr)
-    du -= np.multiply.outer(du @ reference, reference.conj())
+    dr = np.where(use1, *_null_rows(dh, denergy))
+    du = (dr * cr - r * _project(reference, dr)) / (cr * cr)
+    du -= _project(reference, du) * reference.conj()[:, None]
     return du
 
 
@@ -475,26 +481,27 @@ def _check_derivative(derivative: str) -> str:
 def _connection_samples(traj: LoopTrajectory, derivative: str) -> np.ndarray:
     """Berry connection f(k) at every stored loop sample."""
     dk = traj.step
+    u = traj.states.T
     if _check_derivative(derivative) == "analytic":
         h = hk(traj.model, traj.k_grid)
         du = _analytic_du(traj.model, traj.k_grid, h, traj.energies,
                           traj.energies_other,
                           _spinor(traj.gauge, traj.reference))
     else:
-        u = traj.states
-        du = (-np.roll(u, -2, axis=0) + 8.0 * np.roll(u, -1, axis=0)
-              - 8.0 * np.roll(u, 1, axis=0) + np.roll(u, 2, axis=0)
+        du = (-np.roll(u, -2, axis=-1) + 8.0 * np.roll(u, -1, axis=-1)
+              - 8.0 * np.roll(u, 1, axis=-1) + np.roll(u, 2, axis=-1)
               ) / (12.0 * dk)
-    return _connection(traj.left_states, traj.states, du, dk)
+    return _connection(traj.left_states.T, u, du, dk)
 
 
 def _connection(l: np.ndarray, u: np.ndarray, du: np.ndarray, dk: float,
                 ) -> np.ndarray:
-    """Berry connection ``f = (l @ du) / (l @ u)`` per sample, refused
-    with :class:`~nhwind.bloch.GaugeSingular` when one sample would
+    """Berry connection ``f = (l @ du) / (l @ u)`` per sample of the
+    component-major vectors, refused with
+    :class:`~nhwind.bloch.GaugeSingular` when one sample would
     contribute more than ``POLE_TOL`` to the integral over steps ``dk``.
     """
-    f = np.einsum("mi,mi->m", l, du) / np.einsum("mi,mi->m", l, u)
+    f = _dot(l, du) / _dot(l, u)
     worst = float(np.max(np.abs(f))) * dk
     if not np.isfinite(worst) or worst > POLE_TOL:
         raise GaugeSingular(
@@ -584,18 +591,20 @@ def _segment_winding(f: np.ndarray, dk: float) -> complex:
 
 
 def _fd4_segment(u: np.ndarray, dk: float) -> np.ndarray:
-    """Fourth-order derivative on an open segment: centered five-point
-    stencil inside, one-sided five-point stencils at the edges."""
+    """Fourth-order derivative along the last (sample) axis of an open
+    segment: centered five-point stencil inside, one-sided five-point
+    stencils at the edges."""
     du = np.empty_like(u)
-    du[2:-2] = (-u[4:] + 8.0 * u[3:-1] - 8.0 * u[1:-3] + u[:-4]) / (12.0 * dk)
-    du[0] = (-25.0 * u[0] + 48.0 * u[1] - 36.0 * u[2] + 16.0 * u[3]
-             - 3.0 * u[4]) / (12.0 * dk)
-    du[1] = (-3.0 * u[0] - 10.0 * u[1] + 18.0 * u[2] - 6.0 * u[3]
-             + u[4]) / (12.0 * dk)
-    du[-2] = (3.0 * u[-1] + 10.0 * u[-2] - 18.0 * u[-3] + 6.0 * u[-4]
-              - u[-5]) / (12.0 * dk)
-    du[-1] = (25.0 * u[-1] - 48.0 * u[-2] + 36.0 * u[-3] - 16.0 * u[-4]
-              + 3.0 * u[-5]) / (12.0 * dk)
+    du[..., 2:-2] = (-u[..., 4:] + 8.0 * u[..., 3:-1] - 8.0 * u[..., 1:-3]
+                     + u[..., :-4]) / (12.0 * dk)
+    du[..., 0] = (-25.0 * u[..., 0] + 48.0 * u[..., 1] - 36.0 * u[..., 2]
+                  + 16.0 * u[..., 3] - 3.0 * u[..., 4]) / (12.0 * dk)
+    du[..., 1] = (-3.0 * u[..., 0] - 10.0 * u[..., 1] + 18.0 * u[..., 2]
+                  - 6.0 * u[..., 3] + u[..., 4]) / (12.0 * dk)
+    du[..., -2] = (3.0 * u[..., -1] + 10.0 * u[..., -2] - 18.0 * u[..., -3]
+                   + 6.0 * u[..., -4] - u[..., -5]) / (12.0 * dk)
+    du[..., -1] = (25.0 * u[..., -1] - 48.0 * u[..., -2] + 36.0 * u[..., -3]
+                   - 16.0 * u[..., -4] + 3.0 * u[..., -5]) / (12.0 * dk)
     return du
 
 

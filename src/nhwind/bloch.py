@@ -15,6 +15,15 @@ exceptional point and the energy derivative ``dE/dk``.  Each is written
 once, vectorized over any leading shape; :func:`eig2` applies them to a
 single matrix and :mod:`nhwind.berry` to a whole sampled loop.
 
+The kernels work on contiguous entry planes.  :func:`hk` and
+:func:`hk_derivative` fill a ``(2, 2) + k.shape`` array entry by entry
+and return it with the matrix axes moved last, so the public shape is
+``k.shape + (2, 2)`` as ever while each entry ``h[..., i, j]`` is one
+contiguous array over the samples.  A batch of spinors is held
+component-major, shape ``(2,) + batch``, so ``u[0]`` and ``u[1]`` are
+contiguous too.  Every operation then runs one loop over the samples
+instead of a loop of length 2 or 4 per sample.
+
 Eigenvectors are fixed in an explicit gauge rather than by norm.  Every
 gauge pins ``c . u = 1`` for a reference spinor ``c`` and pairs ``u``
 with a left vector by one of two rules; the gauges differ only in that
@@ -143,13 +152,14 @@ def _reference_spinor(unit: np.ndarray,
                       ) -> np.ndarray:
     """Reference spinor for a set of unit right vectors.
 
-    ``unit`` has shape ``(..., 2)``.  Returns the row of ``candidates``
+    ``unit`` holds one vector per row, shape ``(..., 2)`` (the transpose
+    of a component-major batch).  Returns the row of ``candidates``
     with the largest ``min |c . unit|`` (earliest wins among ties), or
     raises :class:`GaugeSingular` when even that minimum is below
     ``GAUGE_TOL``.
     """
     unit = np.asarray(unit, dtype=complex).reshape(-1, 2)
-    scores = np.min(np.abs(unit @ candidates.T), axis=0)
+    scores = np.min(np.abs(candidates @ unit.T), axis=1)
     best = float(np.max(scores))
     if best < GAUGE_TOL:
         what = ("its pinned spinor vanishes" if len(candidates) == 1
@@ -184,41 +194,70 @@ def _roots(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _null_rows(h: np.ndarray, energy: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray]:
     """The row null vectors ``(b, E - a)`` and ``(E - d, c)`` of
-    ``h - E``, each of shape ``(..., 2)``.
+    ``h - E``, each component-major, shape ``(2,) + energy.shape``.
 
     At an eigenvalue they are parallel, and at least one is nonzero
     unless ``h`` is scalar.  Applied to ``(dh/dk, dE/dk)`` instead, the
     same map gives their k-derivatives.
     """
-    return (np.stack([h[..., 0, 1], energy - h[..., 0, 0]], axis=-1),
-            np.stack([energy - h[..., 1, 1], h[..., 1, 0]], axis=-1))
+    return (np.stack([h[..., 0, 1], energy - h[..., 0, 0]]),
+            np.stack([energy - h[..., 1, 1], h[..., 1, 0]]))
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bilinear ``u . v`` per sample of two component-major batches.
+
+    ``einsum`` forms the products in its own scalar arithmetic, the
+    same as the per-sample ``einsum("...i,...i")`` it replaces, so the
+    results keep their last bits.
+    """
+    return np.einsum("i...,i...->...", u, v)
+
+
+def _project(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bilinear ``c . v`` of one spinor ``c`` with each sample of the
+    component-major ``v``.
+
+    Written out rather than as ``c @ v``: the elementwise products equal
+    the per-sample ``v.T @ c`` bit for bit, and a BLAS matrix-vector
+    product does not.
+    """
+    return c[0] * v[0] + c[1] * v[1]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm per sample of the component-major ``v``, in the
+    arithmetic of ``np.linalg.norm(..., axis=-1)``."""
+    return np.sqrt(np.sum((v.conj() * v).real, axis=0))
 
 
 def _unit_vectors(h: np.ndarray, energy: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Unit right eigenvectors of ``h`` at ``energy`` and the norm they
-    were scaled from: the longer row of :func:`_null_rows`.
+    """Unit right eigenvectors of ``h`` at ``energy`` (component-major)
+    and the norm they were scaled from: the longer row of
+    :func:`_null_rows`.
 
     A zero norm (scalar ``h``) leaves a NaN vector behind; callers
     refuse those samples by the norm.
     """
     r1, r2 = _null_rows(h, energy)
-    n1 = np.linalg.norm(r1, axis=-1)
-    n2 = np.linalg.norm(r2, axis=-1)
+    n1 = _norm(r1)
+    n2 = _norm(r2)
     use1 = n1 >= n2
     norm = np.where(use1, n1, n2)
     with np.errstate(invalid="ignore"):
-        unit = np.where(use1[..., None], r1, r2) / norm[..., None]
+        unit = np.where(use1, r1, r2) / norm
     return unit, norm
 
 
 def _parallelism(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Smallest-to-largest singular-value ratio of the matrix ``[u, v]``
-    of unit vectors, ``|det| / (1 + |u^H v|)``: 0 where the two
-    branches coincide (exceptional point), 1 where they are orthogonal.
+    of component-major unit vectors, ``|det| / (1 + |u^H v|)``: 0 where
+    the two branches coincide (exceptional point), 1 where they are
+    orthogonal.
     """
-    det = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-    return abs(det) / (1.0 + abs(np.einsum("...i,...i->...", np.conj(u), v)))
+    det = u[0] * v[1] - u[1] * v[0]
+    return abs(det) / (1.0 + abs(_dot(u.conj(), v)))
 
 
 def _energy_derivative(h: np.ndarray, dh: np.ndarray, energy: np.ndarray,
@@ -245,14 +284,13 @@ def _pinned_row(h: np.ndarray, energy: np.ndarray, c: np.ndarray,
 
     The two rows are parallel, so ``r / (c @ r)`` does not depend on the
     choice; taking the larger ``|c @ r|`` keeps it well conditioned.
-    Returns ``(r, c @ r, use1)``.
+    Returns ``(r, c @ r, use1)``, ``r`` component-major.
     """
     r1, r2 = _null_rows(h, energy)
-    c0, c1 = c
-    cr1 = c0 * r1[..., 0] + c1 * r1[..., 1]
-    cr2 = c0 * r2[..., 0] + c1 * r2[..., 1]
+    cr1 = _project(c, r1)
+    cr2 = _project(c, r2)
     use1 = abs(cr1) >= abs(cr2)
-    return np.where(use1[..., None], r1, r2), np.where(use1, cr1, cr2), use1
+    return np.where(use1, r1, r2), np.where(use1, cr1, cr2), use1
 
 
 def _pin(h: np.ndarray, energy: np.ndarray, unit: np.ndarray, gauge: Gauge,
@@ -261,18 +299,18 @@ def _pin(h: np.ndarray, energy: np.ndarray, unit: np.ndarray, gauge: Gauge,
     in ``gauge``, and ``c``.
 
     ``c`` is picked from the gauge's candidates over ``unit``, the same
-    eigenvectors at unit norm (shape ``(..., 2)``), and ``u = r /
+    eigenvectors at unit norm (component-major), and ``u = r /
     (c @ r)`` with ``r`` from :func:`_pinned_row`.  The last step
     restores ``c @ u = 1`` to round-off, which keeps a pinned basis
     component exactly 1.
     """
     try:
-        c = _reference_spinor(unit, _GAUGES[gauge][0])
+        c = _reference_spinor(unit.T, _GAUGES[gauge][0])
     except GaugeSingular as exc:
         raise GaugeSingular(f"gauge {gauge.value!r}: {exc}") from exc
     r, cr, _ = _pinned_row(h, energy, c)
-    u = r / cr[..., None]
-    u += np.multiply.outer(1.0 - u @ c, c.conj())
+    u = r / cr
+    u += (1.0 - _project(c, u)) * c.conj()[:, None]
     return u, c
 
 
@@ -281,19 +319,20 @@ def _fix_gauge(h: np.ndarray, energy: np.ndarray, other: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right vectors, left vectors and reference spinor in ``gauge``.
 
-    ``h`` holds 2x2 matrices, shape ``(..., 2, 2)``, ``energy`` the
+    ``h`` holds 2x2 matrices, shape ``(m, 2, 2)``, ``energy`` the
     eigenvalue to fix at each and ``other`` the other one; ``unit`` and
-    ``unit_other`` are their right eigenvectors at unit norm.  Returns
-    ``(u, l, c)``: ``u`` pinned by :func:`_pin`, and ``l`` either ``u``
-    itself (transpose pairing; :class:`GaugeSingular` if ``u^T u``
+    ``unit_other`` are their right eigenvectors at unit norm,
+    component-major ``(2, m)``.  Returns ``(u, l, c)``, ``u`` and ``l``
+    component-major: ``u`` pinned by :func:`_pin`, and ``l`` either
+    ``u`` itself (transpose pairing; :class:`GaugeSingular` if ``u^T u``
     vanishes) or the adjugate row of ``[u, o]`` over its determinant,
     with ``o`` the other branch pinned as well (inverse pairing;
     :class:`Defective` if the determinant vanishes).
     """
     u, c = _pin(h, energy, unit, gauge)
     if _GAUGES[gauge][1]:
-        pairing = np.einsum("...i,...i->...", u, u)
-        bad = abs(pairing) < GAUGE_TOL * np.sum(abs(u) ** 2, axis=-1)
+        pairing = _dot(u, u)
+        bad = abs(pairing) < GAUGE_TOL * (abs(u[0]) ** 2 + abs(u[1]) ** 2)
         if np.any(bad):
             raise GaugeSingular(
                 f"gauge {gauge.value!r}: self-orthogonal transpose "
@@ -304,11 +343,11 @@ def _fix_gauge(h: np.ndarray, energy: np.ndarray, other: np.ndarray,
     # gauges' closed form (psi_o, -1) / (psi_o - psi) to the last bit;
     # the smooth gauge picks o's spinor over the other branch itself.
     o, _ = _pin(h, other, unit_other, gauge)
-    p, q = u[..., 0] * o[..., 1], o[..., 0] * u[..., 1]
+    p, q = u[0] * o[1], o[0] * u[1]
     det = p - q
     if np.any(abs(det) < GAUGE_TOL * (abs(p) + abs(q))):
         raise Defective("right vectors of the two branches coincide")
-    l = np.stack([o[..., 1], -o[..., 0]], axis=-1) / det[..., None]
+    l = np.stack([o[1], -o[0]]) / det
     return u, l, c
 
 
@@ -371,28 +410,48 @@ def demo() -> BlochModel:
     return BlochModel(hop_minus, hop_zero, hop_plus, label="demo")
 
 
+def _entry_planes(shape: tuple, terms) -> np.ndarray:
+    """``sum_t phase_t * block_t`` over samples of the given ``shape``.
+
+    ``terms`` pairs 1-d per-sample phases with 2x2 blocks.  Each entry
+    ``(i, j)`` is filled as one contiguous plane over the samples, the
+    sum running left to right as a sum of ``np.multiply.outer``
+    products would, and the ``(2, 2) + shape`` array is returned with
+    the matrix axes moved last.
+    """
+    (first, block), *rest = terms
+    out = np.empty((2, 2, first.size), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            plane = out[i, j]
+            np.multiply(first, block[i, j], out=plane)
+            for phase, other in rest:
+                plane += phase * other[i, j]
+    return np.moveaxis(out.reshape((2, 2) + shape), (0, 1), (-2, -1))
+
+
 def hk(model: BlochModel, k) -> np.ndarray:
     """Bloch Hamiltonian at momentum ``k`` (scalar or array).
 
     Returns shape ``(2, 2)`` for scalar ``k`` and ``k.shape + (2, 2)``
-    otherwise.
+    otherwise; each entry ``h[..., i, j]`` is contiguous over ``k``.
     """
     k = np.asarray(k, dtype=float)
     mm, m0, mp = model.blocks()
-    phase = np.exp(1j * k)
-    out = (np.multiply.outer(np.conj(phase), mm)
-           + np.multiply.outer(np.ones_like(k), m0)
-           + np.multiply.outer(phase, mp))
-    return out
+    phase = np.exp(1j * k.ravel())
+    # The constant block is scaled by ones, as its outer product was,
+    # so the signs of zero entries come out as before.
+    return _entry_planes(k.shape, [(np.conj(phase), mm),
+                                   (np.ones(k.size), m0), (phase, mp)])
 
 
 def hk_derivative(model: BlochModel, k) -> np.ndarray:
     """d h(k) / d k, same shape conventions as :func:`hk`."""
     k = np.asarray(k, dtype=float)
     mm, _, mp = model.blocks()
-    phase = np.exp(1j * k)
-    return (np.multiply.outer(-1j * np.conj(phase), mm)
-            + np.multiply.outer(1j * phase, mp))
+    phase = np.exp(1j * k.ravel())
+    return _entry_planes(k.shape, [(-1j * np.conj(phase), mm),
+                                   (1j * phase, mp)])
 
 
 @dataclass(frozen=True)
@@ -468,11 +527,12 @@ def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem
     vectors_of = np.stack([vectors_of, vectors_of])
     # Defectiveness first: the ratio is gauge independent.
     unit, _ = _unit_vectors(vectors_of, roots)
-    ratio = float(_parallelism(unit[0], unit[1]))
+    ratio = float(_parallelism(unit[:, 0], unit[:, 1]))
     if ratio < DEFECTIVE_TOL:
         raise Defective(f"eigenvectors are parallel (ratio {ratio:.2e})")
-    (u_plus, u_minus), (l_plus, l_minus), spinor = _fix_gauge(
-        vectors_of, roots, roots[::-1], unit, unit[::-1], gauge)
+    u, l, spinor = _fix_gauge(vectors_of, roots, roots[::-1], unit,
+                              unit[:, ::-1], gauge)
+    (u_plus, u_minus), (l_plus, l_minus) = u.T, l.T
     reference = spinor if gauge is Gauge.SMOOTH else None
     return EigenSystem2(complex(e_plus), complex(e_minus),
                         u_plus, u_minus, l_plus, l_minus, gauge, reference)

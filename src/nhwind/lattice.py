@@ -152,8 +152,9 @@ def left_vectors(h: np.ndarray, values: np.ndarray | None = None,
                  right: np.ndarray | None = None) -> np.ndarray:
     """Left eigenvector rows paired so that ``L[i] @ right[:, i] = 1``.
 
-    ``values``/``right`` are the output of :func:`eig_dense` on ``h``
-    and are recomputed when omitted.  The rows are those of
+    ``right`` is the vector output of :func:`eig_dense` on ``h`` and is
+    recomputed only when omitted; ``values`` is accepted for symmetry
+    with that output and unused.  The rows are those of
     ``inv(right)``, biorthonormal to the right vectors by construction.
     Each pair's condition number ``kappa_i = |l_i| |u_i| / |l_i . u_i|``
     bounds the first-order error of eigenvalue ``i`` by
@@ -163,7 +164,7 @@ def left_vectors(h: np.ndarray, values: np.ndarray | None = None,
     no longer left eigenvectors to working precision.  The gate does not
     change when ``h`` is scaled.
     """
-    if values is None or right is None:
+    if right is None:
         _, right = eig_dense(h)
     try:
         left = np.linalg.inv(right)
@@ -351,7 +352,7 @@ def _bloch_waves(model: BlochModel, n_cells: int, with_left: bool = False):
         u1, u2 = _check_diagonalizable(h, e1, e2, k)
     except (AmbiguousTracking, Defective):
         return None
-    blocks = np.stack([u1, u2], axis=-1)
+    blocks = np.stack([u1.T, u2.T], axis=-1)
     values = np.stack([e1, e2], axis=-1).ravel()
     order = np.lexsort((values.imag, values.real))
     # e^{i k_j c} from (j c mod n), so the phase stays exact for long chains.

@@ -157,6 +157,17 @@ def test_trajectory_arrays_are_locked(lee_default):
         traj.states[0, 0] = 0.0
 
 
+def test_trajectory_states_keep_their_shape_in_every_gauge(lee_default):
+    for gauge in Gauge:
+        traj = loop_period(lee_default, 256, gauge)
+        m = traj.k_grid.size
+        for states in (traj.states, traj.left_states):
+            assert states.shape == (m, 2), gauge
+            assert not states.flags.writeable, gauge
+            with pytest.raises(ValueError):
+                states[0, 1] = 0.0
+
+
 def test_demo_first_gauge_orientation(demo_model):
     # Pins the sign convention: the raw forward integral is -i pi, so
     # gamma_b = pi and w = +1.

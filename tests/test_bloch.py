@@ -37,6 +37,22 @@ def test_hk_array_shape_matches_scalar():
         assert np.array_equal(batch[j], hk(lee(), float(kj)))
 
 
+def test_hk_and_derivative_batch_shapes_match_scalar_calls():
+    # Entry planes are contiguous inside, but the public shape stays
+    # k.shape + (2, 2) and every sample equals the scalar call bit for
+    # bit, for 1-d and 2-d momentum arrays alike.
+    model = lee(0.6, 0.4, 0.5)
+    for k in (np.linspace(-1.0, 7.0, 9), np.linspace(0.0, 6.0, 12)
+              .reshape(3, 4)):
+        for fn in (hk, hk_derivative):
+            batch = fn(model, k)
+            assert batch.shape == k.shape + (2, 2), fn.__name__
+            for idx in np.ndindex(k.shape):
+                assert np.array_equal(batch[idx], fn(model, float(k[idx])))
+            assert all(batch[..., i, j].flags.c_contiguous
+                       for i in range(2) for j in range(2))
+
+
 def test_hk_derivative_matches_finite_difference():
     model = lee()
     dk = 1e-6

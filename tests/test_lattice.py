@@ -92,6 +92,20 @@ def test_left_vectors_standalone_recompute(lee_default):
     assert np.abs(left @ right - np.eye(8)).max() < 1e-8
 
 
+def test_left_vectors_keep_the_supplied_right_vectors(lee_default,
+                                                     monkeypatch):
+    # A supplied right basis is paired as it is, with or without its
+    # eigenvalues; only a missing one takes another dense solve.
+    h = build_chain(lee_default, 4)
+    _, right = eig_dense(h)
+
+    def no_solve(_):
+        raise AssertionError("left_vectors re-ran the dense solve")
+    monkeypatch.setattr("nhwind.lattice.eig_dense", no_solve)
+    left = left_vectors(h, None, right)
+    assert np.array_equal(left, np.linalg.inv(right))
+
+
 def test_left_vectors_match_failure_on_ill_conditioned_chain(lee_default):
     # The right spectrum of the open skin-effect chain is so badly
     # conditioned that left and right eigenvalues cannot be paired.
@@ -118,8 +132,9 @@ def test_left_vectors_open_skin_chain_pairs_below_gate(lee_default):
 
 def test_left_vectors_refuse_open_skin_chain_above_gate(lee_default):
     # At 10 open cells the worst eigenvalue condition number is ~1.6e8,
-    # so eps |h|_2 kappa exceeds the 1e-8 gate; pairing must refuse
-    # rather than return rows that are off by ~1e-3.
+    # so the relative bound eps max kappa_i (3.5e-8) exceeds the 1e-8
+    # gate; pairing must refuse rather than return rows that are off by
+    # ~1e-3.
     h = build_chain(lee_default, 10, Boundary.OPEN)
     with pytest.raises(MatchFailure, match="condition number"):
         left_vectors(h)
