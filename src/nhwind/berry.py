@@ -43,7 +43,11 @@ the tracked branch is ``tr(h)/2 + sqrt(D)`` continued analytically
 along k (:func:`_turns`), so a scalar term ``f(k) * 1`` in ``h(k)``
 never moves it.  The braid is the half-integer phase winding of
 ``sqrt(D)`` over a zone, the "energy vorticity" of Shen, Zhen & Fu,
-PRL 120, 146402 (2018).
+PRL 120, 146402 (2018): the continued splitting flips sign an odd
+number of times over one zone.  :func:`loop_period` reads the period
+from that parity before it tracks anything, tracks a braided loop over
+its two zones at once, and keeps the closure check as a validation of
+the loop it returns.
 
 Per-band segment integrals over a single Brillouin zone
 (:func:`band_winding`) and the two halves of a braided loop
@@ -235,21 +239,46 @@ def _overlap_resolver(e1: np.ndarray, r1: np.ndarray, r2: np.ndarray,
     return resolve
 
 
+def _samples(model: BlochModel, k_inc: np.ndarray,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(h, e1, e2)``: the Hamiltonian on ``k_inc`` and both of its
+    closed-form roots, in :func:`~nhwind.bloch._roots`' labeling."""
+    h = hk(model, k_inc)
+    return (h, *_roots(h))
+
+
+def _braids(e1: np.ndarray, e2: np.ndarray) -> bool:
+    """Whether the branches swap over the zone sampled inclusively by
+    the roots ``e1``/``e2``: the splitting ``e1 - e2``, continued by
+    :func:`_turns` over the zone and then across the wrap from
+    ``k = 2 pi`` back to ``k = 0``, flips sign decisively.  A tie
+    anywhere on the way answers ``False``: only the tracker's overlap
+    resolver can decide it.
+    """
+    split = e1 - e2
+    flip, tie = _turns(split)
+    end = -split[-1] if np.count_nonzero(flip) % 2 else split[-1]
+    wrap_flip, _ = _turns(np.array([split[0], end]))
+    return not np.any(tie) and bool(wrap_flip[0])
+
+
 def _tracked_segment(model: BlochModel, k_inc: np.ndarray, gauge: Gauge,
-                     start_band: Band):
+                     start_band: Band, samples: tuple | None = None):
     """Track one branch over an inclusive momentum grid.
 
-    Shared front end of the loop and segment integrators: builds the
-    Hamiltonian samples, tracks the branch with the overlap tie-break,
-    runs the per-sample health checks and fixes the gauge on the tracked
-    branch.  Returns ``(h, tracked, other, u, l, c)``: the energies of
-    both branches, the gauge-fixed right and left vectors of the tracked
-    one (see :func:`nhwind.bloch._fix_gauge`), component-major, and the
-    spinor ``c`` with ``c @ u = 1``, chosen over the tracked branch in
-    the smooth gauge.
+    Shared front end of the loop and segment integrators: takes the
+    samples ``(h, e1, e2)`` of :func:`_samples` on ``k_inc`` (evaluated
+    here unless given), runs the per-sample health checks, tracks the
+    branch with the overlap tie-break and fixes the gauge on the
+    tracked branch.  Returns ``(h, tracked, other, u, l, c, pinned)``:
+    the energies of both branches, the gauge-fixed right and left
+    vectors of the tracked one (see :func:`nhwind.bloch._fix_gauge`),
+    component-major, the spinor ``c`` with ``c @ u = 1``, chosen over
+    the tracked branch in the smooth gauge, and the tracked branch's
+    rows ``(r, c @ r, use1)`` of :func:`~nhwind.bloch._pinned_row`,
+    which the analytic derivative reuses.
     """
-    h = hk(model, k_inc)
-    e1, e2 = _roots(h)
+    h, e1, e2 = _samples(model, k_inc) if samples is None else samples
     r1, r2 = _check_diagonalizable(h, e1, e2, k_inc)
     try:
         e_t, e_o = _track_branches(e1, e2, start_band,
@@ -261,8 +290,8 @@ def _tracked_segment(model: BlochModel, k_inc: np.ndarray, gauge: Gauge,
     # which root's unit vector the branch took at every sample.
     swap = e_t != e1
     r1, r2 = np.where(swap, r2, r1), np.where(swap, r1, r2)
-    u, l, c = _fix_gauge(h, e_t, e_o, r1, r2, gauge)
-    return h, e_t, e_o, u, l, c
+    u, l, c, pinned = _fix_gauge(h, e_t, e_o, r1, r2, gauge)
+    return h, e_t, e_o, u, l, c, pinned
 
 
 @dataclass(frozen=True)
@@ -399,14 +428,23 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
                 start_band: Band = Band.PLUS) -> LoopTrajectory:
     """Track one branch until it closes; return the full loop.
 
-    Probes one Brillouin zone first, then two; the detected period is
-    the ``period`` field of the returned trajectory.  ``grid_size`` is
-    the number of samples per Brillouin zone and must be even and at
-    least 64.  The default gauge is the smooth one, which picks its
-    reference spinor over each probe's tracked samples and records it
-    as the trajectory's ``reference``; it integrates loops such as the
-    Hermitian topological chain on which every component gauge has a
-    pole.  Closure compares the energy and the gauge-fixed state ``u``.
+    The period comes from the parity of the splitting ``E1 - E2 =
+    2 sqrt(D)`` over one Brillouin zone: continued by :func:`_turns`,
+    it ends the zone with the sign it started with (period 2 pi) or the
+    opposite one (4 pi, the branches braid).  A decisively odd parity,
+    with no tie in the zone and a wrap turn beyond the tie margin,
+    tracks the two-zone loop at once; anything else tracks the zone
+    already evaluated and falls back to two zones when it fails to
+    close, so ties, exceptional points and scalar samples meet the
+    checks in the same order either way.  The detected period is the
+    ``period`` field of the returned trajectory, and closure is checked
+    on it.  ``grid_size`` is the number of samples per Brillouin zone
+    and must be even and at least 64.  The default gauge is the smooth
+    one, which picks its reference spinor over the tracked samples and
+    records it as the trajectory's ``reference``; it integrates loops
+    such as the Hermitian topological chain on which every component
+    gauge has a pole.  Closure compares the energy and the gauge-fixed
+    state ``u``.
     Raises :class:`NoClosure` if the state does not return after two zones,
     :class:`AmbiguousTracking` on an unresolvable branch tie, and
     :class:`~nhwind.bloch.Defective` /
@@ -415,12 +453,18 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
     step = _zone_step(grid_size)
     start_band = Band(start_band)
     gauge = Gauge(gauge)
+    k_inc = np.arange(grid_size + 1) * step
+    samples = _samples(model, k_inc)
     closure = np.inf
-    for zones in (1, 2):
-        m = zones * grid_size
-        k_inc = np.arange(m + 1) * step
-        _, e_t, e_o, u, l, c = _tracked_segment(model, k_inc, gauge,
-                                                start_band)
+    # A braided zone ends on the other branch, so it cannot close.
+    for zones in (2,) if _braids(*samples[1:]) else (1, 2):
+        if zones == 2:
+            k_inc = np.arange(2 * grid_size + 1) * step
+            samples = None  # evaluated on the two-zone grid
+        # h and the pinned rows are not needed here; dropping them at
+        # once keeps them out of the next zone's peak memory.
+        e_t, e_o, u, l, c = _tracked_segment(model, k_inc, gauge,
+                                             start_band, samples)[1:6]
         err_e = abs(e_t[-1] - e_t[0]) / max(1.0, abs(e_t[0]))
         err_u = (np.max(abs(u[:, -1] - u[:, 0]))
                  / max(1.0, np.max(abs(u[:, 0]))))
@@ -440,20 +484,21 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
 
 def _analytic_du(model: BlochModel, k: np.ndarray, h: np.ndarray,
                  e_t: np.ndarray, e_o: np.ndarray, reference: np.ndarray,
-                 ) -> np.ndarray:
+                 pinned: tuple) -> np.ndarray:
     """d u / d k per sample in any gauge, component-major: the quotient
-    rule on ``u = r / (c @ r)`` with ``c = reference``."""
+    rule on ``u = r / (c @ r)`` with ``c = reference`` and the rows
+    ``pinned = (r, c @ r, use1)`` of ``e_t``."""
     dh = hk_derivative(model, k)
     de = _energy_derivative(h, dh, e_t, e_o)
-    return _smooth_derivative(h, dh, e_t, de, reference)
+    return _smooth_derivative(dh, de, reference, pinned)
 
 
-def _smooth_derivative(h: np.ndarray, dh: np.ndarray, energy: np.ndarray,
-                       denergy: np.ndarray, reference: np.ndarray,
-                       ) -> np.ndarray:
-    """k-derivative of ``u = r / (c @ r)``, where ``r`` is the row null
-    vector that :func:`~nhwind.bloch._pinned_row` picks and ``r'`` the
-    same row of :func:`~nhwind.bloch._null_rows` applied to ``(dh, dE)``:
+def _smooth_derivative(dh: np.ndarray, denergy: np.ndarray,
+                       reference: np.ndarray, pinned: tuple) -> np.ndarray:
+    """k-derivative of ``u = r / (c @ r)``, where ``pinned = (r, c @ r,
+    use1)`` are the rows :func:`~nhwind.bloch._pinned_row` picks and
+    ``r'`` the same row of :func:`~nhwind.bloch._null_rows` applied to
+    ``(dh, dE)``:
 
         du = (r' (c @ r) - r (c @ r')) / (c @ r)^2.
 
@@ -462,7 +507,7 @@ def _smooth_derivative(h: np.ndarray, dh: np.ndarray, energy: np.ndarray,
     restores that to round-off, which keeps the derivative of a pinned
     basis component exactly 0.  All vectors are component-major.
     """
-    r, cr, use1 = _pinned_row(h, energy, reference)
+    r, cr, use1 = pinned
     dr = np.where(use1, *_null_rows(dh, denergy))
     du = (dr * cr - r * _project(reference, dr)) / (cr * cr)
     du -= _project(reference, du) * reference.conj()[:, None]
@@ -484,9 +529,10 @@ def _connection_samples(traj: LoopTrajectory, derivative: str) -> np.ndarray:
     u = traj.states.T
     if _check_derivative(derivative) == "analytic":
         h = hk(traj.model, traj.k_grid)
+        c = _spinor(traj.gauge, traj.reference)
         du = _analytic_du(traj.model, traj.k_grid, h, traj.energies,
-                          traj.energies_other,
-                          _spinor(traj.gauge, traj.reference))
+                          traj.energies_other, c,
+                          _pinned_row(h, traj.energies, c))
     else:
         du = (-np.roll(u, -2, axis=-1) + 8.0 * np.roll(u, -1, axis=-1)
               - 8.0 * np.roll(u, 1, axis=-1) + np.roll(u, 2, axis=-1)
@@ -574,10 +620,11 @@ def band_winding(model: BlochModel, band: Band = Band.PLUS,
     gauge = Gauge(gauge)
     _check_derivative(derivative)
     k_inc = np.arange(grid_size + 1) * step
-    h, e_t, e_o, u, l, c = _tracked_segment(model, k_inc, gauge, band)
+    h, e_t, e_o, u, l, c, pinned = _tracked_segment(model, k_inc, gauge,
+                                                    band)
 
     if derivative == "analytic":
-        du = _analytic_du(model, k_inc, h, e_t, e_o, c)
+        du = _analytic_du(model, k_inc, h, e_t, e_o, c, pinned)
     else:
         du = _fd4_segment(u, step)
     return _segment_winding(_connection(l, u, du, step), step)
@@ -657,7 +704,10 @@ class WindingReport:
     For a closed loop the winding must be real and near-integer;
     construction enforces both to 1e-6 and refuses to represent
     anything else.  ``w_plus``/``w_minus`` are the optional per-band
-    single-zone windings (gauge dependent, unlike ``w``).
+    single-zone windings (gauge dependent, unlike ``w``).  The refusal
+    is a ``ValueError`` that names the grid: a quadrature too coarse for
+    the loop (the ``fd4`` derivative at grid 256 on ``lee()``) is its
+    usual cause.
     """
 
     model_label: str
@@ -673,12 +723,14 @@ class WindingReport:
     w_minus: complex | None = None
 
     def __post_init__(self) -> None:
+        hint = (f"at grid {self.grid_size}: the quadrature is too coarse; "
+                f"a finer --grid or the analytic derivative resolves it")
         if abs(self.w.imag) > 1e-6:
-            raise ValueError(
-                f"loop winding has imaginary part {self.w.imag:.3e}")
+            raise ValueError(f"loop winding has imaginary part "
+                             f"{self.w.imag:.3e} {hint}")
         if abs(self.w.real - round(self.w.real)) > 1e-6:
-            raise ValueError(
-                f"loop winding {self.w.real!r} is not near-integer")
+            raise ValueError(f"loop winding {self.w.real!r} is not "
+                             f"near-integer {hint}")
 
 
 def winding_report(model: BlochModel, gauge: Gauge = Gauge.TRANSPOSE,

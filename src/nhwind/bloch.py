@@ -294,42 +294,45 @@ def _pinned_row(h: np.ndarray, energy: np.ndarray, c: np.ndarray,
 
 
 def _pin(h: np.ndarray, energy: np.ndarray, unit: np.ndarray, gauge: Gauge,
-         ) -> tuple[np.ndarray, np.ndarray]:
+         ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Right eigenvectors ``u`` of ``h`` at ``energy`` with ``c @ u = 1``
-    in ``gauge``, and ``c``.
+    in ``gauge``, ``c``, and the rows ``(r, c @ r, use1)`` of
+    :func:`_pinned_row` they came from.
 
     ``c`` is picked from the gauge's candidates over ``unit``, the same
     eigenvectors at unit norm (component-major), and ``u = r /
-    (c @ r)`` with ``r`` from :func:`_pinned_row`.  The last step
-    restores ``c @ u = 1`` to round-off, which keeps a pinned basis
-    component exactly 1.
+    (c @ r)``.  The last step restores ``c @ u = 1`` to round-off, which
+    keeps a pinned basis component exactly 1.
     """
     try:
         c = _reference_spinor(unit.T, _GAUGES[gauge][0])
     except GaugeSingular as exc:
         raise GaugeSingular(f"gauge {gauge.value!r}: {exc}") from exc
-    r, cr, _ = _pinned_row(h, energy, c)
+    pinned = _pinned_row(h, energy, c)
+    r, cr, _ = pinned
     u = r / cr
     u += (1.0 - _project(c, u)) * c.conj()[:, None]
-    return u, c
+    return u, c, pinned
 
 
 def _fix_gauge(h: np.ndarray, energy: np.ndarray, other: np.ndarray,
                unit: np.ndarray, unit_other: np.ndarray, gauge: Gauge,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Right vectors, left vectors and reference spinor in ``gauge``.
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Right vectors, left vectors, reference spinor and pinned rows in
+    ``gauge``.
 
     ``h`` holds 2x2 matrices, shape ``(m, 2, 2)``, ``energy`` the
     eigenvalue to fix at each and ``other`` the other one; ``unit`` and
     ``unit_other`` are their right eigenvectors at unit norm,
-    component-major ``(2, m)``.  Returns ``(u, l, c)``, ``u`` and ``l``
-    component-major: ``u`` pinned by :func:`_pin`, and ``l`` either
+    component-major ``(2, m)``.  Returns ``(u, l, c, pinned)``, ``u``
+    and ``l`` component-major: ``u`` pinned by :func:`_pin` from the rows
+    ``pinned = (r, c @ r, use1)`` of ``energy``, and ``l`` either
     ``u`` itself (transpose pairing; :class:`GaugeSingular` if ``u^T u``
     vanishes) or the adjugate row of ``[u, o]`` over its determinant,
     with ``o`` the other branch pinned as well (inverse pairing;
     :class:`Defective` if the determinant vanishes).
     """
-    u, c = _pin(h, energy, unit, gauge)
+    u, c, pinned = _pin(h, energy, unit, gauge)
     if _GAUGES[gauge][1]:
         pairing = _dot(u, u)
         bad = abs(pairing) < GAUGE_TOL * (abs(u[0]) ** 2 + abs(u[1]) ** 2)
@@ -338,17 +341,17 @@ def _fix_gauge(h: np.ndarray, energy: np.ndarray, other: np.ndarray,
                 f"gauge {gauge.value!r}: self-orthogonal transpose "
                 f"pairing u^T u = 0 at {int(np.count_nonzero(bad))} "
                 f"state(s)")
-        return u, u.copy(), c
+        return u, u.copy(), c, pinned
     # o's scale cancels in l.  Pinning it like u gives the component
     # gauges' closed form (psi_o, -1) / (psi_o - psi) to the last bit;
     # the smooth gauge picks o's spinor over the other branch itself.
-    o, _ = _pin(h, other, unit_other, gauge)
+    o = _pin(h, other, unit_other, gauge)[0]
     p, q = u[0] * o[1], o[0] * u[1]
     det = p - q
     if np.any(abs(det) < GAUGE_TOL * (abs(p) + abs(q))):
         raise Defective("right vectors of the two branches coincide")
     l = np.stack([o[1], -o[0]]) / det
-    return u, l, c
+    return u, l, c, pinned
 
 
 def _locked(a: np.ndarray) -> np.ndarray:
@@ -384,9 +387,11 @@ def lee(v: float = 0.52, r: float = 0.5, gamma: float = 1.0) -> BlochModel:
 
     The Bloch Hamiltonian is ``x(k) sigma_x + z(k) sigma_z`` with
     ``x = v + r cos k`` and ``z = r sin k + i gamma/2``.  For
-    ``gamma > 2 |v - r|`` the two energy branches braid over one
+    ``|v - r| < gamma/2 < v + r`` the two energy branches braid over one
     Brillouin zone and only close after two, which is the regime the
-    default parameters sit in.
+    default parameters sit in: there the discriminant
+    ``x^2 + z^2 = (v - gamma/2 + r e^{ik}) (v + gamma/2 + r e^{-ik})``
+    winds once around zero.
     """
     for name, value in (("v", v), ("r", r), ("gamma", gamma)):
         if not np.isfinite(value):
@@ -530,8 +535,8 @@ def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem
     ratio = float(_parallelism(unit[:, 0], unit[:, 1]))
     if ratio < DEFECTIVE_TOL:
         raise Defective(f"eigenvectors are parallel (ratio {ratio:.2e})")
-    u, l, spinor = _fix_gauge(vectors_of, roots, roots[::-1], unit,
-                              unit[:, ::-1], gauge)
+    u, l, spinor, _ = _fix_gauge(vectors_of, roots, roots[::-1], unit,
+                                 unit[:, ::-1], gauge)
     (u_plus, u_minus), (l_plus, l_minus) = u.T, l.T
     reference = spinor if gauge is Gauge.SMOOTH else None
     return EigenSystem2(complex(e_plus), complex(e_minus),

@@ -9,6 +9,7 @@ from nhwind import (AmbiguousTracking, Band, BlochModel, Defective, Gauge,
                     WindingReport, band_winding, berry_phase, demo, eig2,
                     hk, lee, loop_period, split_check, winding_lee,
                     winding_number, winding_report)
+from nhwind import berry
 from nhwind.berry import _overlap_resolver, _track_branches
 from nhwind.bloch import REFERENCE_SPINORS, _reference_spinor
 
@@ -110,6 +111,76 @@ def test_loop_period_unbraided_closes_in_one_zone():
                        Gauge.FIRST_COMPONENT_ONE).period == 2 * np.pi
     assert loop_period(demo(), 512,
                        Gauge.FIRST_COMPONENT_ONE).period == 2 * np.pi
+
+
+def _count_tracking(monkeypatch):
+    """Record the sample count of every tracked segment and every
+    ``hk`` evaluation made through ``nhwind.berry``."""
+    tracked, evaluated = [], []
+    track, evaluate = berry._tracked_segment, berry.hk
+
+    def counting_track(model, k_inc, *args, **kwargs):
+        tracked.append(k_inc.size)
+        return track(model, k_inc, *args, **kwargs)
+
+    def counting_hk(model, k):
+        evaluated.append(np.size(k))
+        return evaluate(model, k)
+
+    monkeypatch.setattr(berry, "_tracked_segment", counting_track)
+    monkeypatch.setattr(berry, "hk", counting_hk)
+    return tracked, evaluated
+
+
+def test_loop_period_reads_the_period_from_the_splitting(monkeypatch):
+    # A braided zone flips the continued splitting an odd number of
+    # times, so only the two-zone loop is tracked; the zone-one samples
+    # of the parity read are still evaluated.  An even zone is tracked
+    # once, on the samples the parity read already holds.
+    grid = 256
+    tracked, evaluated = _count_tracking(monkeypatch)
+    assert loop_period(lee(), grid).period == 4 * np.pi
+    assert tracked == [2 * grid + 1]
+    assert evaluated == [grid + 1, 2 * grid + 1]
+    for model in (lee(gamma=0.0), demo()):
+        tracked.clear()
+        evaluated.clear()
+        traj = loop_period(model, grid, Gauge.FIRST_COMPONENT_ONE)
+        assert traj.period == 2 * np.pi, model.label
+        assert tracked == [grid + 1], model.label
+        assert evaluated == [grid + 1], model.label
+    # An exceptional point on the grid is still refused.
+    with pytest.raises(Defective):
+        loop_period(lee(0.75, 0.5, 0.5), grid)
+
+
+@pytest.mark.parametrize("v, r, gamma", [
+    (0.8, 0.5, 0.2), (0.8, 0.5, 1.0), (0.8, 0.5, 3.0), (1.2, 0.4, 1.2),
+    (0.3, 0.5, 0.2), (0.3, 0.5, 0.8), (0.3, 0.5, 2.0), (0.5, 0.8, 1.0)])
+def test_loop_period_braids_between_the_braid_lines(v, r, gamma):
+    # D = (v - gamma/2 + r e^{ik}) (v + gamma/2 + r e^{-ik}) winds once
+    # around 0 over a zone exactly when |v - r| < gamma/2 < v + r, and
+    # an odd winding of D is a half turn of sqrt(D): the braid.
+    period = (4 if abs(v - r) < gamma / 2 < v + r else 2) * np.pi
+    for gauge in Gauge:
+        for band in Band:
+            traj = loop_period(lee(v, r, gamma), 256, gauge, band)
+            assert traj.period == period, (gauge, band)
+
+
+@pytest.mark.parametrize("model", [lee(), lee(0.6, 0.4, 0.5),
+                                   lee(0.9, 0.5, 1.2)],
+                         ids=lambda model: model.label)
+def test_band_windings_are_the_halves_of_the_braided_loop(model):
+    # One band's zone is one half of the two-zone loop, so a report
+    # could take its band windings from its own loop.
+    for grid in (256, 4096):
+        for gauge in Gauge:
+            halves = split_check(model, gauge, grid)
+            assert band_winding(model, Band.PLUS, gauge, grid) \
+                == halves.w_plus, (grid, gauge)
+            assert abs(band_winding(model, Band.MINUS, gauge, grid)
+                       - halves.w_minus) <= 1e-15, (grid, gauge)
 
 
 def test_loop_period_splitting_far_below_the_mean_energy():

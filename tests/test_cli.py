@@ -199,6 +199,19 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert info.value.code == 2
 
 
+def test_coarse_quadrature_refusal_exits_2_with_a_hint(capsys):
+    # fd4 on 256 samples per zone misses the integer winding by 1.3e-6.
+    code, out, err = run_cli(capsys, ["winding", "--grid", "256",
+                                      "--derivative", "fd4",
+                                      "--gauge", "first"])
+    assert code == 2 and out == ""
+    assert "not near-integer at grid 256" in err
+    assert "a finer --grid or the analytic derivative" in err
+    code, _, _ = run_cli(capsys, ["winding", "--grid", "1024",
+                                  "--derivative", "fd4", "--gauge", "first"])
+    assert code == 0
+
+
 def test_gauge_singularity_exits_3(capsys):
     # The demo transpose pairing is self-orthogonal at k = pi/2.
     code, _, err = run_cli(capsys, ["winding", "--model", "demo",
