@@ -22,8 +22,12 @@ Inverse pairing takes ``l`` as the row of the inverse eigenvector
 matrix (``l @ u = 1``, so the division is trivial); transpose pairing
 takes ``l = u^T`` itself (``l @ u = u^T u`` genuinely normalizes).  One
 code path serves all four gauges, and the closed-form eigensystem under
-it (roots, eigenvectors, the exceptional-point ratio and ``dE/dk``) is
+it (roots, eigenvectors and the exceptional-point ratio) is
 :mod:`nhwind.bloch`'s, the same one :func:`~nhwind.bloch.eig2` uses.
+The analytic ``d u / d k`` is first-order perturbation theory in one
+line: with ``c . u = 1`` the derivative lies along ``(-c[1], c[0])``,
+and its size is ``(u~ . h' . u) / (E - E_other)`` with the other
+branch's left vector ``u~ = (-u[1], u[0])`` (:func:`_analytic_du`).
 The loop phase is
 
     gamma_b = -i * integral of f over the loop, taken forward
@@ -79,9 +83,8 @@ from typing import Callable
 import numpy as np
 
 from .bloch import (_GAUGES, GAUGE_TOL, BlochModel, Defective, Gauge,
-                    GaugeSingular, _dot, _energy_derivative, _fix_gauge,
-                    _norm, _null_rows, _parallelism, _pinned_row, _project,
-                    _roots, _unit_vectors, hk, hk_derivative)
+                    GaugeSingular, _dot, _fix_gauge, _norm, _parallelism,
+                    _project, _roots, _unit_vectors, hk, hk_derivative)
 
 __all__ = [
     "AmbiguousTracking",
@@ -270,13 +273,11 @@ def _tracked_segment(model: BlochModel, k_inc: np.ndarray, gauge: Gauge,
     samples ``(h, e1, e2)`` of :func:`_samples` on ``k_inc`` (evaluated
     here unless given), runs the per-sample health checks, tracks the
     branch with the overlap tie-break and fixes the gauge on the
-    tracked branch.  Returns ``(h, tracked, other, u, l, c, pinned)``:
-    the energies of both branches, the gauge-fixed right and left
-    vectors of the tracked one (see :func:`nhwind.bloch._fix_gauge`),
-    component-major, the spinor ``c`` with ``c @ u = 1``, chosen over
-    the tracked branch in the smooth gauge, and the tracked branch's
-    rows ``(r, c @ r, use1)`` of :func:`~nhwind.bloch._pinned_row`,
-    which the analytic derivative reuses.
+    tracked branch.  Returns ``(tracked, other, u, l, c)``: the energies
+    of both branches, the gauge-fixed right and left vectors of the
+    tracked one (see :func:`nhwind.bloch._fix_gauge`), component-major,
+    and the spinor ``c`` with ``c @ u = 1``, chosen over the tracked
+    branch in the smooth gauge.
     """
     h, e1, e2 = _samples(model, k_inc) if samples is None else samples
     r1, r2 = _check_diagonalizable(h, e1, e2, k_inc)
@@ -290,8 +291,8 @@ def _tracked_segment(model: BlochModel, k_inc: np.ndarray, gauge: Gauge,
     # which root's unit vector the branch took at every sample.
     swap = e_t != e1
     r1, r2 = np.where(swap, r2, r1), np.where(swap, r1, r2)
-    u, l, c, pinned = _fix_gauge(h, e_t, e_o, r1, r2, gauge)
-    return h, e_t, e_o, u, l, c, pinned
+    u, l, c = _fix_gauge(h, e_t, e_o, r1, r2, gauge)
+    return e_t, e_o, u, l, c
 
 
 @dataclass(frozen=True)
@@ -461,10 +462,8 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
         if zones == 2:
             k_inc = np.arange(2 * grid_size + 1) * step
             samples = None  # evaluated on the two-zone grid
-        # h and the pinned rows are not needed here; dropping them at
-        # once keeps them out of the next zone's peak memory.
         e_t, e_o, u, l, c = _tracked_segment(model, k_inc, gauge,
-                                             start_band, samples)[1:6]
+                                             start_band, samples)
         err_e = abs(e_t[-1] - e_t[0]) / max(1.0, abs(e_t[0]))
         err_u = (np.max(abs(u[:, -1] - u[:, 0]))
                  / max(1.0, np.max(abs(u[:, 0]))))
@@ -482,36 +481,22 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
         f"zones (final mismatch {closure:.3e})")
 
 
-def _analytic_du(model: BlochModel, k: np.ndarray, h: np.ndarray,
-                 e_t: np.ndarray, e_o: np.ndarray, reference: np.ndarray,
-                 pinned: tuple) -> np.ndarray:
-    """d u / d k per sample in any gauge, component-major: the quotient
-    rule on ``u = r / (c @ r)`` with ``c = reference`` and the rows
-    ``pinned = (r, c @ r, use1)`` of ``e_t``."""
-    dh = hk_derivative(model, k)
-    de = _energy_derivative(h, dh, e_t, e_o)
-    return _smooth_derivative(dh, de, reference, pinned)
+def _analytic_du(dh: np.ndarray, u: np.ndarray, split: np.ndarray,
+                 c: np.ndarray) -> np.ndarray:
+    """d u / d k per sample in any gauge, component-major, from
+    ``dh = d h / d k``, the gauge-fixed ``u``, the splitting ``split =
+    E - E_other`` and the spinor ``c`` with ``c @ u = 1``.
 
-
-def _smooth_derivative(dh: np.ndarray, denergy: np.ndarray,
-                       reference: np.ndarray, pinned: tuple) -> np.ndarray:
-    """k-derivative of ``u = r / (c @ r)``, where ``pinned = (r, c @ r,
-    use1)`` are the rows :func:`~nhwind.bloch._pinned_row` picks and
-    ``r'`` the same row of :func:`~nhwind.bloch._null_rows` applied to
-    ``(dh, dE)``:
-
-        du = (r' (c @ r) - r (c @ r')) / (c @ r)^2.
-
-    Both rows give the same ``u``, so the choice of row cancels out.
-    ``c @ u = 1`` along the path, so ``c @ du = 0``; the last step
-    restores that to round-off, which keeps the derivative of a pinned
-    basis component exactly 0.  All vectors are component-major.
+    ``c @ du = 0`` puts ``du`` along ``(-c[1], c[0])``.  Differentiating
+    ``(h - E) u = 0`` and projecting onto the other branch's left vector
+    ``u~ = (-u[1], u[0])`` fixes its size, ``u~ @ du = (u~ @ dh @ u) /
+    split``, and ``u~ @ (-c[1], c[0]) = c @ u = 1``.  A component that
+    ``c`` pins sits where ``(-c[1], c[0])`` has a zero, so its
+    derivative is exactly 0.
     """
-    r, cr, use1 = pinned
-    dr = np.where(use1, *_null_rows(dh, denergy))
-    du = (dr * cr - r * _project(reference, dr)) / (cr * cr)
-    du -= _project(reference, du) * reference.conj()[:, None]
-    return du
+    size = (u[0] * (dh[..., 1, 0] * u[0] + dh[..., 1, 1] * u[1])
+            - u[1] * (dh[..., 0, 0] * u[0] + dh[..., 0, 1] * u[1])) / split
+    return np.stack([-c[1] * size, c[0] * size])
 
 
 def _check_derivative(derivative: str) -> str:
@@ -528,15 +513,14 @@ def _connection_samples(traj: LoopTrajectory, derivative: str) -> np.ndarray:
     dk = traj.step
     u = traj.states.T
     if _check_derivative(derivative) == "analytic":
-        h = hk(traj.model, traj.k_grid)
-        c = _spinor(traj.gauge, traj.reference)
-        du = _analytic_du(traj.model, traj.k_grid, h, traj.energies,
-                          traj.energies_other, c,
-                          _pinned_row(h, traj.energies, c))
+        du = _analytic_du(hk_derivative(traj.model, traj.k_grid), u,
+                          traj.energies - traj.energies_other,
+                          _spinor(traj.gauge, traj.reference))
     else:
-        du = (-np.roll(u, -2, axis=-1) + 8.0 * np.roll(u, -1, axis=-1)
-              - 8.0 * np.roll(u, 1, axis=-1) + np.roll(u, 2, axis=-1)
-              ) / (12.0 * dk)
+        # Two samples wrapped around each end make the loop's centered
+        # stencil the interior of the segment one.
+        du = _fd4_segment(np.pad(u, ((0, 0), (2, 2)), mode="wrap"),
+                          dk)[:, 2:-2]
     return _connection(traj.left_states.T, u, du, dk)
 
 
@@ -564,14 +548,14 @@ def berry_phase(traj: LoopTrajectory, derivative: str = "analytic",
     """Loop Berry phase ``gamma_b = -i * forward connection integral``.
 
     Uses the periodic trapezoid rule (a plain sample mean times the
-    period) on the closed loop.  The default analytic derivative
-    applies the quotient rule on ``u = r/(c·r)``, the same formula in
-    every gauge, with the branch energy derivative ``dE/dk`` from the
-    characteristic polynomial ``E^2 - tr(h) E + det h = 0``; the
-    ``fd4`` alternative differentiates the stored vectors with a
-    five-point stencil wrapped around the loop.  Either way the
-    connection divides by the stored left/right pairing, so the
-    transpose gauge needs no extra normalization step.
+    period) on the closed loop.  The default analytic derivative is
+    first-order perturbation theory on the stored states, splitting and
+    spinor (:func:`_analytic_du`), the same formula in every gauge; it
+    needs ``dh/dk`` and no ``h``.  The ``fd4`` alternative
+    differentiates the stored vectors with a five-point stencil wrapped
+    around the loop.  Either way the connection divides by the stored
+    left/right pairing, so the transpose gauge needs no extra
+    normalization step.
     """
     return _loop_phase(_connection_samples(traj, derivative), traj.step)
 
@@ -620,11 +604,9 @@ def band_winding(model: BlochModel, band: Band = Band.PLUS,
     gauge = Gauge(gauge)
     _check_derivative(derivative)
     k_inc = np.arange(grid_size + 1) * step
-    h, e_t, e_o, u, l, c, pinned = _tracked_segment(model, k_inc, gauge,
-                                                    band)
-
+    e_t, e_o, u, l, c = _tracked_segment(model, k_inc, gauge, band)
     if derivative == "analytic":
-        du = _analytic_du(model, k_inc, h, e_t, e_o, c, pinned)
+        du = _analytic_du(hk_derivative(model, k_inc), u, e_t - e_o, c)
     else:
         du = _fd4_segment(u, step)
     return _segment_winding(_connection(l, u, du, step), step)
@@ -692,9 +674,7 @@ def split_check(model: BlochModel, gauge: Gauge = Gauge.TRANSPOSE,
         raise RuntimeError(
             f"half windings sum to {total:.3e} but the loop gives "
             f"{w_loop:.3e}; inconsistent connection data")
-    if traj.start_band is Band.PLUS:
-        return SplitWindings(w1, w2, total)
-    return SplitWindings(w2, w1, total)
+    return SplitWindings(w1, w2, total)
 
 
 @dataclass(frozen=True)

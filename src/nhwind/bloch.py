@@ -10,10 +10,10 @@ and the spectrum is generally complex.  Everything downstream (Berry
 phases, winding numbers, finite chains) is built on the closed-form
 2x2 eigensystem held here: the roots ``m +- sqrt(D)`` with
 ``m = tr(h)/2`` and the discriminant ``D = ((a - d)/2)^2 + b c``, the
-row null vectors of ``h - E``, the parallelism ratio that detects an
-exceptional point and the energy derivative ``dE/dk``.  Each is written
-once, vectorized over any leading shape; :func:`eig2` applies them to a
-single matrix and :mod:`nhwind.berry` to a whole sampled loop.
+row null vectors of ``h - E`` and the parallelism ratio that detects an
+exceptional point.  Each is written once, vectorized over any leading
+shape; :func:`eig2` applies them to a single matrix and
+:mod:`nhwind.berry` to a whole sampled loop.
 
 The kernels work on contiguous entry planes.  :func:`hk` and
 :func:`hk_derivative` fill a ``(2, 2) + k.shape`` array entry by entry
@@ -197,8 +197,7 @@ def _null_rows(h: np.ndarray, energy: np.ndarray,
     ``h - E``, each component-major, shape ``(2,) + energy.shape``.
 
     At an eigenvalue they are parallel, and at least one is nonzero
-    unless ``h`` is scalar.  Applied to ``(dh/dk, dE/dk)`` instead, the
-    same map gives their k-derivatives.
+    unless ``h`` is scalar.
     """
     return (np.stack([h[..., 0, 1], energy - h[..., 0, 0]]),
             np.stack([energy - h[..., 1, 1], h[..., 1, 0]]))
@@ -260,79 +259,48 @@ def _parallelism(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return abs(det) / (1.0 + abs(_dot(u.conj(), v)))
 
 
-def _energy_derivative(h: np.ndarray, dh: np.ndarray, energy: np.ndarray,
-                       other: np.ndarray) -> np.ndarray:
-    """dE/dk of the branch at ``energy``, from differentiating the
-    characteristic polynomial ``E^2 - tr(h) E + det h = 0``:
-
-        dE = (tr(dh) E - d(det h)) / (E - E_other).
-
-    Gauge independent and valid wherever the two roots differ.
-    """
-    a, b = h[..., 0, 0], h[..., 0, 1]
-    c, d = h[..., 1, 0], h[..., 1, 1]
-    da, db = dh[..., 0, 0], dh[..., 0, 1]
-    dc, dd = dh[..., 1, 0], dh[..., 1, 1]
-    ddet = da * d + a * dd - db * c - b * dc
-    return ((da + dd) * energy - ddet) / (energy - other)
-
-
-def _pinned_row(h: np.ndarray, energy: np.ndarray, c: np.ndarray,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per sample, the row of :func:`_null_rows` that ``c`` normalizes
-    best: the first where ``use1``, else the second.
-
-    The two rows are parallel, so ``r / (c @ r)`` does not depend on the
-    choice; taking the larger ``|c @ r|`` keeps it well conditioned.
-    Returns ``(r, c @ r, use1)``, ``r`` component-major.
-    """
-    r1, r2 = _null_rows(h, energy)
-    cr1 = _project(c, r1)
-    cr2 = _project(c, r2)
-    use1 = abs(cr1) >= abs(cr2)
-    return np.where(use1, r1, r2), np.where(use1, cr1, cr2), use1
-
-
 def _pin(h: np.ndarray, energy: np.ndarray, unit: np.ndarray, gauge: Gauge,
-         ) -> tuple[np.ndarray, np.ndarray, tuple]:
+         ) -> tuple[np.ndarray, np.ndarray]:
     """Right eigenvectors ``u`` of ``h`` at ``energy`` with ``c @ u = 1``
-    in ``gauge``, ``c``, and the rows ``(r, c @ r, use1)`` of
-    :func:`_pinned_row` they came from.
+    in ``gauge``, and ``c``.
 
     ``c`` is picked from the gauge's candidates over ``unit``, the same
-    eigenvectors at unit norm (component-major), and ``u = r /
-    (c @ r)``.  The last step restores ``c @ u = 1`` to round-off, which
-    keeps a pinned basis component exactly 1.
+    eigenvectors at unit norm (component-major).  Per sample ``u = r /
+    (c @ r)`` for the row ``r`` of :func:`_null_rows` that ``c``
+    normalizes best; the rows are parallel, so the choice does not move
+    ``u``, and the larger ``|c @ r|`` keeps it well conditioned.  The
+    last step restores ``c @ u = 1`` to round-off, which keeps a pinned
+    basis component exactly 1.
     """
     try:
         c = _reference_spinor(unit.T, _GAUGES[gauge][0])
     except GaugeSingular as exc:
         raise GaugeSingular(f"gauge {gauge.value!r}: {exc}") from exc
-    pinned = _pinned_row(h, energy, c)
-    r, cr, _ = pinned
-    u = r / cr
+    r1, r2 = _null_rows(h, energy)
+    cr1 = _project(c, r1)
+    cr2 = _project(c, r2)
+    use1 = abs(cr1) >= abs(cr2)
+    u = np.where(use1, r1, r2) / np.where(use1, cr1, cr2)
     u += (1.0 - _project(c, u)) * c.conj()[:, None]
-    return u, c, pinned
+    return u, c
 
 
 def _fix_gauge(h: np.ndarray, energy: np.ndarray, other: np.ndarray,
                unit: np.ndarray, unit_other: np.ndarray, gauge: Gauge,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """Right vectors, left vectors, reference spinor and pinned rows in
-    ``gauge``.
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Right vectors, left vectors and reference spinor in ``gauge``.
 
     ``h`` holds 2x2 matrices, shape ``(m, 2, 2)``, ``energy`` the
     eigenvalue to fix at each and ``other`` the other one; ``unit`` and
     ``unit_other`` are their right eigenvectors at unit norm,
-    component-major ``(2, m)``.  Returns ``(u, l, c, pinned)``, ``u``
-    and ``l`` component-major: ``u`` pinned by :func:`_pin` from the rows
-    ``pinned = (r, c @ r, use1)`` of ``energy``, and ``l`` either
+    component-major ``(2, m)``.  Returns ``(u, l, c)``, ``u`` and ``l``
+    component-major: ``u`` pinned by :func:`_pin`, and ``l`` either
     ``u`` itself (transpose pairing; :class:`GaugeSingular` if ``u^T u``
     vanishes) or the adjugate row of ``[u, o]`` over its determinant,
     with ``o`` the other branch pinned as well (inverse pairing;
     :class:`Defective` if the determinant vanishes).
     """
-    u, c, pinned = _pin(h, energy, unit, gauge)
+    u, c = _pin(h, energy, unit, gauge)
     if _GAUGES[gauge][1]:
         pairing = _dot(u, u)
         bad = abs(pairing) < GAUGE_TOL * (abs(u[0]) ** 2 + abs(u[1]) ** 2)
@@ -341,7 +309,7 @@ def _fix_gauge(h: np.ndarray, energy: np.ndarray, other: np.ndarray,
                 f"gauge {gauge.value!r}: self-orthogonal transpose "
                 f"pairing u^T u = 0 at {int(np.count_nonzero(bad))} "
                 f"state(s)")
-        return u, u.copy(), c, pinned
+        return u, u.copy(), c
     # o's scale cancels in l.  Pinning it like u gives the component
     # gauges' closed form (psi_o, -1) / (psi_o - psi) to the last bit;
     # the smooth gauge picks o's spinor over the other branch itself.
@@ -351,7 +319,7 @@ def _fix_gauge(h: np.ndarray, energy: np.ndarray, other: np.ndarray,
     if np.any(abs(det) < GAUGE_TOL * (abs(p) + abs(q))):
         raise Defective("right vectors of the two branches coincide")
     l = np.stack([o[1], -o[0]]) / det
-    return u, l, c, pinned
+    return u, l, c
 
 
 def _locked(a: np.ndarray) -> np.ndarray:
@@ -535,8 +503,8 @@ def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem
     ratio = float(_parallelism(unit[:, 0], unit[:, 1]))
     if ratio < DEFECTIVE_TOL:
         raise Defective(f"eigenvectors are parallel (ratio {ratio:.2e})")
-    u, l, spinor, _ = _fix_gauge(vectors_of, roots, roots[::-1], unit,
-                                 unit[:, ::-1], gauge)
+    u, l, spinor = _fix_gauge(vectors_of, roots, roots[::-1], unit,
+                              unit[:, ::-1], gauge)
     (u_plus, u_minus), (l_plus, l_minus) = u.T, l.T
     reference = spinor if gauge is Gauge.SMOOTH else None
     return EigenSystem2(complex(e_plus), complex(e_minus),

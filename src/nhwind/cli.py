@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -294,11 +295,20 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     path = os.path.abspath(out)
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nhwind-")
+    # The file gets the mode open(out, "w") would leave, not mkstemp's
+    # 0600: an existing target keeps its own, a new one 0666 less the
+    # umask (which can only be read by setting it).
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".nhwind-")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -7,8 +7,8 @@ import pytest
 from nhwind import (AmbiguousTracking, Band, BlochModel, Defective, Gauge,
                     GaugeSingular, LoopTrajectory, NoClosure, SplitWindings,
                     WindingReport, band_winding, berry_phase, demo, eig2,
-                    hk, lee, loop_period, split_check, winding_lee,
-                    winding_number, winding_report)
+                    hk, hk_derivative, lee, loop_period, split_check,
+                    winding_lee, winding_number, winding_report)
 from nhwind import berry
 from nhwind.berry import _overlap_resolver, _track_branches
 from nhwind.bloch import REFERENCE_SPINORS, _reference_spinor
@@ -351,13 +351,48 @@ def test_quadrature_converges_on_grid_doubling():
 
 
 def test_fd4_derivative_agrees_with_analytic(lee_default):
-    traj = loop_period(lee_default, 4096, Gauge.FIRST_COMPONENT_ONE)
-    assert abs(berry_phase(traj, derivative="fd4")
-               - berry_phase(traj)) < 1e-9
-    w4 = band_winding(lee_default, Band.PLUS, Gauge.TRANSPOSE, 4096,
-                      derivative="fd4")
-    wa = band_winding(lee_default, Band.PLUS, Gauge.TRANSPOSE, 4096)
-    assert abs(w4 - wa) < 1e-6
+    for model in (lee_default, lee(0.6, 0.4, 0.5)):
+        for gauge in Gauge:
+            where = (model.label, gauge.value)
+            traj = loop_period(model, 4096, gauge)
+            assert abs(berry_phase(traj, derivative="fd4")
+                       - berry_phase(traj)) < 1e-9, where
+            w4 = band_winding(model, Band.PLUS, gauge, 4096,
+                              derivative="fd4")
+            wa = band_winding(model, Band.PLUS, gauge, 4096)
+            assert abs(w4 - wa) < 1e-6, where
+
+
+@pytest.mark.parametrize("gauge, pinned", [
+    (Gauge.FIRST_COMPONENT_ONE, 0), (Gauge.SECOND_COMPONENT_ONE, 1),
+    (Gauge.TRANSPOSE, 0)])
+def test_analytic_derivative_of_a_pinned_component_is_zero(gauge, pinned):
+    for model in (lee(), lee(0.6, 0.4, 0.5)):
+        traj = loop_period(model, 512, gauge)
+        u = traj.states.T
+        assert np.all(u[pinned] == 1.0)
+        du = berry._analytic_du(
+            hk_derivative(model, traj.k_grid), u,
+            traj.energies - traj.energies_other,
+            REFERENCE_SPINORS[pinned])
+        assert np.all(du[pinned] == 0.0), model.label
+        assert np.all(du[1 - pinned] != 0.0), model.label
+
+
+def test_berry_phase_of_a_stored_loop_evaluates_no_hamiltonian(
+        monkeypatch, lee_default):
+    # The analytic derivative needs dh/dk and the stored states,
+    # splitting and spinor; h itself is never evaluated again.
+    loops = [loop_period(lee_default, 512, gauge) for gauge in Gauge]
+    expected = [(berry_phase(t), berry_phase(t, "fd4")) for t in loops]
+
+    def no_hk(*args, **kwargs):
+        raise AssertionError("berry_phase evaluated h(k)")
+
+    monkeypatch.setattr("nhwind.berry.hk", no_hk)
+    for traj, (analytic, fd4) in zip(loops, expected):
+        assert berry_phase(traj) == analytic
+        assert berry_phase(traj, "fd4") == fd4
 
 
 def test_derivative_mode_is_validated(lee_default):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end."""
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -174,6 +175,23 @@ def test_out_writes_atomically(capsys, tmp_path):
     assert payload["meta"]["model"] == "demo"
     # No stray temp files next to the target.
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_out_file_gets_the_mode_open_would_give(capsys, tmp_path):
+    # A new file gets 0666 less the umask, an existing one keeps its
+    # mode, as a plain open(out, "w") would leave them.
+    target = tmp_path / "chain.csv"
+    umask = os.umask(0o022)
+    try:
+        assert run_cli(capsys, ["chain", "--n", "4",
+                                "--out", str(target)])[0] == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+        target.chmod(0o640)
+        assert run_cli(capsys, ["chain", "--n", "4",
+                                "--out", str(target)])[0] == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    finally:
+        os.umask(umask)
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
