@@ -291,7 +291,7 @@ def _tracked_segment(model: BlochModel, k_inc: np.ndarray, gauge: Gauge,
     # which root's unit vector the branch took at every sample.
     swap = e_t != e1
     r1, r2 = np.where(swap, r2, r1), np.where(swap, r1, r2)
-    u, l, c = _fix_gauge(h, e_t, e_o, r1, r2, gauge)
+    u, l, c = _fix_gauge(r1, r2, gauge)
     return e_t, e_o, u, l, c
 
 

@@ -10,10 +10,11 @@ and the spectrum is generally complex.  Everything downstream (Berry
 phases, winding numbers, finite chains) is built on the closed-form
 2x2 eigensystem held here: the roots ``m +- sqrt(D)`` with
 ``m = tr(h)/2`` and the discriminant ``D = ((a - d)/2)^2 + b c``, the
-row null vectors of ``h - E`` and the parallelism ratio that detects an
-exceptional point.  Each is written once, vectorized over any leading
-shape; :func:`eig2` applies them to a single matrix and
-:mod:`nhwind.berry` to a whole sampled loop.
+unit eigenvector (the longer row null vector of ``h - E``, scaled to
+unit norm) and the parallelism ratio that detects an exceptional point.
+Each is written once, vectorized over any leading shape; :func:`eig2`
+applies them to a single matrix and :mod:`nhwind.berry` to a whole
+sampled loop.
 
 The kernels work on contiguous entry planes.  :func:`hk` and
 :func:`hk_derivative` fill a ``(2, 2) + k.shape`` array entry by entry
@@ -25,9 +26,10 @@ contiguous too.  Every operation then runs one loop over the samples
 instead of a loop of length 2 or 4 per sample.
 
 Eigenvectors are fixed in an explicit gauge rather than by norm.  Every
-gauge pins ``c . u = 1`` for a reference spinor ``c`` and pairs ``u``
-with a left vector by one of two rules; the gauges differ only in that
-data (see :class:`Gauge`).  A gauge with a single pinned spinor breaks
+gauge pins ``c . u = 1`` for a reference spinor ``c``, by dividing the
+unit eigenvector ``u^`` by ``c . u^``, and pairs ``u`` with a left
+vector by one of two rules; the gauges differ only in that data (see
+:class:`Gauge`).  A gauge with a single pinned spinor breaks
 down at isolated momenta where ``c . r`` vanishes for the right
 eigenvector ``r``; those points are reported as :class:`GaugeSingular`
 instead of being smoothed over.  The smooth gauge chooses ``c`` from a
@@ -191,18 +193,6 @@ def _roots(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _null_rows(h: np.ndarray, energy: np.ndarray,
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """The row null vectors ``(b, E - a)`` and ``(E - d, c)`` of
-    ``h - E``, each component-major, shape ``(2,) + energy.shape``.
-
-    At an eigenvalue they are parallel, and at least one is nonzero
-    unless ``h`` is scalar.
-    """
-    return (np.stack([h[..., 0, 1], energy - h[..., 0, 0]]),
-            np.stack([energy - h[..., 1, 1], h[..., 1, 0]]))
-
-
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Bilinear ``u . v`` per sample of two component-major batches.
 
@@ -233,13 +223,17 @@ def _norm(v: np.ndarray) -> np.ndarray:
 def _unit_vectors(h: np.ndarray, energy: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Unit right eigenvectors of ``h`` at ``energy`` (component-major)
-    and the norm they were scaled from: the longer row of
-    :func:`_null_rows`.
+    and the norm they were scaled from.
 
-    A zero norm (scalar ``h``) leaves a NaN vector behind; callers
-    refuse those samples by the norm.
+    The vector is the longer of the row null vectors ``(b, E - a)`` and
+    ``(E - d, c)`` of ``h - E``: at an eigenvalue they are parallel, and
+    at least one is nonzero unless ``h`` is scalar.  This is the one
+    place an eigenvector is formed from ``(h, E)``; every gauge rescales
+    the vector returned here.  A zero norm (scalar ``h``) leaves a NaN
+    vector behind; callers refuse those samples by the norm.
     """
-    r1, r2 = _null_rows(h, energy)
+    r1 = np.stack([h[..., 0, 1], energy - h[..., 0, 0]])
+    r2 = np.stack([energy - h[..., 1, 1], h[..., 1, 0]])
     n1 = _norm(r1)
     n2 = _norm(r2)
     use1 = n1 >= n2
@@ -259,48 +253,39 @@ def _parallelism(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return abs(det) / (1.0 + abs(_dot(u.conj(), v)))
 
 
-def _pin(h: np.ndarray, energy: np.ndarray, unit: np.ndarray, gauge: Gauge,
-         ) -> tuple[np.ndarray, np.ndarray]:
-    """Right eigenvectors ``u`` of ``h`` at ``energy`` with ``c @ u = 1``
-    in ``gauge``, and ``c``.
+def _pin(unit: np.ndarray, gauge: Gauge) -> tuple[np.ndarray, np.ndarray]:
+    """Right eigenvectors ``u`` with ``c @ u = 1`` in ``gauge``, and ``c``.
 
-    ``c`` is picked from the gauge's candidates over ``unit``, the same
-    eigenvectors at unit norm (component-major).  Per sample ``u = r /
-    (c @ r)`` for the row ``r`` of :func:`_null_rows` that ``c``
-    normalizes best; the rows are parallel, so the choice does not move
-    ``u``, and the larger ``|c @ r|`` keeps it well conditioned.  The
-    last step restores ``c @ u = 1`` to round-off, which keeps a pinned
-    basis component exactly 1.
+    ``unit`` holds the eigenvectors at unit norm (component-major), as
+    :func:`_unit_vectors` forms them.  ``c`` is picked from the gauge's
+    candidates over them, which refuses a spinor that vanishes on any of
+    them, and ``u = unit / (c @ unit)``.  The last step restores
+    ``c @ u = 1`` to round-off, which keeps a pinned basis component
+    exactly 1.
     """
     try:
         c = _reference_spinor(unit.T, _GAUGES[gauge][0])
     except GaugeSingular as exc:
         raise GaugeSingular(f"gauge {gauge.value!r}: {exc}") from exc
-    r1, r2 = _null_rows(h, energy)
-    cr1 = _project(c, r1)
-    cr2 = _project(c, r2)
-    use1 = abs(cr1) >= abs(cr2)
-    u = np.where(use1, r1, r2) / np.where(use1, cr1, cr2)
+    u = unit / _project(c, unit)
     u += (1.0 - _project(c, u)) * c.conj()[:, None]
     return u, c
 
 
-def _fix_gauge(h: np.ndarray, energy: np.ndarray, other: np.ndarray,
-               unit: np.ndarray, unit_other: np.ndarray, gauge: Gauge,
+def _fix_gauge(unit: np.ndarray, unit_other: np.ndarray, gauge: Gauge,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right vectors, left vectors and reference spinor in ``gauge``.
 
-    ``h`` holds 2x2 matrices, shape ``(m, 2, 2)``, ``energy`` the
-    eigenvalue to fix at each and ``other`` the other one; ``unit`` and
-    ``unit_other`` are their right eigenvectors at unit norm,
-    component-major ``(2, m)``.  Returns ``(u, l, c)``, ``u`` and ``l``
-    component-major: ``u`` pinned by :func:`_pin`, and ``l`` either
-    ``u`` itself (transpose pairing; :class:`GaugeSingular` if ``u^T u``
-    vanishes) or the adjugate row of ``[u, o]`` over its determinant,
-    with ``o`` the other branch pinned as well (inverse pairing;
-    :class:`Defective` if the determinant vanishes).
+    ``unit`` and ``unit_other`` are the unit right eigenvectors of the
+    branch to fix and of the other one, component-major ``(2, m)``.
+    Returns ``(u, l, c)``, ``u`` and ``l`` component-major: ``u`` pinned
+    by :func:`_pin`, and ``l`` either ``u`` itself (transpose pairing;
+    :class:`GaugeSingular` if ``u^T u`` vanishes) or the adjugate row of
+    ``[u, o]`` over its determinant, with ``o`` the other branch pinned
+    as well (inverse pairing; :class:`Defective` if the determinant
+    vanishes).
     """
-    u, c = _pin(h, energy, unit, gauge)
+    u, c = _pin(unit, gauge)
     if _GAUGES[gauge][1]:
         pairing = _dot(u, u)
         bad = abs(pairing) < GAUGE_TOL * (abs(u[0]) ** 2 + abs(u[1]) ** 2)
@@ -310,10 +295,11 @@ def _fix_gauge(h: np.ndarray, energy: np.ndarray, other: np.ndarray,
                 f"pairing u^T u = 0 at {int(np.count_nonzero(bad))} "
                 f"state(s)")
         return u, u.copy(), c
-    # o's scale cancels in l.  Pinning it like u gives the component
-    # gauges' closed form (psi_o, -1) / (psi_o - psi) to the last bit;
-    # the smooth gauge picks o's spinor over the other branch itself.
-    o = _pin(h, other, unit_other, gauge)[0]
+    # o's scale cancels in l, but pinning it applies the gauge to the
+    # other branch too: a component gauge refuses where its component
+    # vanishes there, and the smooth gauge picks o's spinor over the
+    # other branch itself.
+    o = _pin(unit_other, gauge)[0]
     p, q = u[0] * o[1], o[0] * u[1]
     det = p - q
     if np.any(abs(det) < GAUGE_TOL * (abs(p) + abs(q))):
@@ -484,27 +470,25 @@ def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem
         raise ValueError(f"h must be 2x2, got {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("h contains non-finite entries")
-    # The gauge takes the eigenvectors as row null vectors of this
-    # matrix at these eigenvalues.  The roots come from a one-sample
-    # batch: numpy's scalar complex product can differ in the last bit
-    # from the array product a sampled loop uses.
-    vectors_of, roots = h, np.concatenate(_roots(h[None]))
-    e_plus, e_minus = roots
+    # The roots come from a one-sample batch: numpy's scalar complex
+    # product can differ in the last bit from the array product a
+    # sampled loop uses.
+    e_plus, e_minus = roots = np.concatenate(_roots(h[None]))
     m = 0.5 * (h[0, 0] + h[1, 1])
     if np.linalg.norm(h - m * np.eye(2)) <= 1e-14 * max(np.linalg.norm(h),
                                                        1.0):
         # Scalar matrix: degenerate but diagonalizable.  Any basis is an
-        # eigenbasis; sigma_x's, (1, 1) and (1, -1), satisfies every
-        # gauge here, including the transpose pairing.
-        vectors_of, roots = SIGMA_X, np.array([1.0, -1.0], dtype=complex)
-    vectors_of = np.stack([vectors_of, vectors_of])
+        # eigenbasis; sigma_x's unit one, (1, 1) and (1, -1) over sqrt 2,
+        # satisfies every gauge here, including the transpose pairing.
+        unit = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+        unit /= np.sqrt(2.0)
+    else:
+        unit, _ = _unit_vectors(np.stack([h, h]), roots)
     # Defectiveness first: the ratio is gauge independent.
-    unit, _ = _unit_vectors(vectors_of, roots)
     ratio = float(_parallelism(unit[:, 0], unit[:, 1]))
     if ratio < DEFECTIVE_TOL:
         raise Defective(f"eigenvectors are parallel (ratio {ratio:.2e})")
-    u, l, spinor = _fix_gauge(vectors_of, roots, roots[::-1], unit,
-                              unit[:, ::-1], gauge)
+    u, l, spinor = _fix_gauge(unit, unit[:, ::-1], gauge)
     (u_plus, u_minus), (l_plus, l_minus) = u.T, l.T
     reference = spinor if gauge is Gauge.SMOOTH else None
     return EigenSystem2(complex(e_plus), complex(e_minus),

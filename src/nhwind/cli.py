@@ -294,10 +294,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    path = os.path.abspath(out)
-    # The file gets the mode open(out, "w") would leave, not mkstemp's
-    # 0600: an existing target keeps its own, a new one 0666 less the
-    # umask (which can only be read by setting it).
+    # Like open(out, "w"), write through a symlink to its target
+    # instead of replacing the link.  The file gets the mode open would
+    # leave, not mkstemp's 0600: an existing target keeps its own, a new
+    # one 0666 less the umask (which can only be read by setting it).
+    path = os.path.realpath(out)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:

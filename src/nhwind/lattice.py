@@ -18,7 +18,9 @@ its spectrum is the closed-form pair of roots of each ``h(k_j)`` from
 :mod:`nhwind.bloch`, and its eigenvectors are the unit Bloch waves
 ``e^{i k c} / sqrt(n) (x) u(k)``.  A chain with a momentum sample that
 the loop would refuse (a scalar ``h(k)``, or an exceptional point on
-the grid) falls back to the dense solve, Hermitian or general.
+the grid) falls back to the dense solve, Hermitian or general.  That
+choice is made in one place, :func:`_solve`, which
+:func:`chain_spectrum` and the left :func:`localization_profile` share.
 
 Left eigenvectors of strongly non-normal matrices are a conditioning
 trap.  :func:`left_vectors` takes them from the one dense solve, as the
@@ -33,7 +35,10 @@ chains beyond a handful of cells, the pairing is refused with
 :class:`MatchFailure` instead of returning rows that are no longer left
 eigenvectors.  Participation ratios of the left set do not need pairing
 at all, so :func:`localization_profile` diagonalizes the transpose for
-``side="left"`` and works where pairing must refuse.
+``side="left"`` and works where pairing must refuse.  The transpose of
+a chain is the chain of the model with blocks ``(hop_plus^T,
+hop_zero^T, hop_minus^T)``, entry for entry (a one-cell ring sums its
+three blocks in another order), so it is solved like any other chain.
 """
 from __future__ import annotations
 
@@ -336,12 +341,12 @@ def _bloch_waves(model: BlochModel, n_cells: int, with_left: bool = False):
     ``|l(k)|`` and the eigenvector matrix has the singular values of the
     blocks ``[u_1(k), u_2(k)]``.
 
-    Returns ``(values, right, left, defectiveness)`` in the order of
-    :func:`eig_dense` (``left`` is ``None`` without ``with_left``), or
-    ``None`` where the dense path must decide: a sample the loop
-    refuses (scalar ``h(k)``, or eigenvectors parallel to within
-    ``PATH_DEFECTIVE_TOL``), and ``n_cells < 1``, which
-    :func:`build_chain` rejects.
+    Returns ``(values, right, left, blocks)`` in the order of
+    :func:`eig_dense` (``left`` is ``None`` without ``with_left``;
+    ``blocks`` stacks the ``[u_1(k), u_2(k)]``), or ``None`` where the
+    dense path must decide: a sample the loop refuses (scalar ``h(k)``,
+    or eigenvectors parallel to within ``PATH_DEFECTIVE_TOL``), and
+    ``n_cells < 1``, which :func:`build_chain` rejects.
     """
     if n_cells < 1:
         return None
@@ -367,7 +372,29 @@ def _bloch_waves(model: BlochModel, n_cells: int, with_left: bool = False):
         _check_pairing(np.linalg.norm(inverse, axis=-1).ravel()[order])
         left = np.einsum("cj,jba->jbca", wave.conj(),
                          inverse).reshape(size, size)[order]
-    return values[order], right[:, order], left, defectiveness(blocks)
+    return values[order], right[:, order], left, blocks
+
+
+def _solve(model: BlochModel, n_cells: int, bc: Boundary,
+           with_left: bool = False):
+    """Eigensystem of one chain, from its momentum blocks where
+    :func:`_bloch_waves` can take them and from one dense solve
+    otherwise.
+
+    Returns ``(values, right, left, basis)``: eigenvalues and unit right
+    vectors in the order of :func:`eig_dense`, the paired left rows with
+    ``with_left`` (else ``None``), and the matrix or stack of blocks
+    whose singular values are those of the right eigenvector matrix,
+    for :func:`defectiveness`.
+    """
+    waves = (_bloch_waves(model, n_cells, with_left)
+             if bc is Boundary.PERIODIC else None)
+    if waves is not None:
+        return waves
+    h = build_chain(model, n_cells, bc)
+    values, right = eig_dense(h)
+    left = left_vectors(h, values, right) if with_left else None
+    return values, right, left, right
 
 
 def chain_spectrum(model: BlochModel, n_cells: int,
@@ -384,15 +411,7 @@ def chain_spectrum(model: BlochModel, n_cells: int,
     of cells; everything else is pairing-free.
     """
     bc = Boundary(bc)
-    waves = (_bloch_waves(model, n_cells, with_left)
-             if bc is Boundary.PERIODIC else None)
-    if waves is None:
-        h = build_chain(model, n_cells, bc)
-        values, right = eig_dense(h)
-        left = left_vectors(h, values, right) if with_left else None
-        defect = defectiveness(right)
-    else:
-        values, right, left, defect = waves
+    values, right, left, basis = _solve(model, n_cells, bc, with_left)
     iprs = ipr(right)
     report = spectral_gap(values, iprs)
     return ChainSpectrum(
@@ -400,7 +419,7 @@ def chain_spectrum(model: BlochModel, n_cells: int,
         eigenvalues=values, right_vectors=right, left_vectors=left,
         iprs=iprs, max_abs_imag=float(np.max(np.abs(values.imag))),
         gap=report.gap, midgap_threshold=report.midgap_threshold,
-        excluded=report.excluded, defectiveness=defect)
+        excluded=report.excluded, defectiveness=defectiveness(basis))
 
 
 @dataclass(frozen=True)
@@ -436,25 +455,18 @@ def localization_profile(spectrum: ChainSpectrum, side: str = "right",
     ``side="left"`` takes the right eigenstates of the transposed
     chain and uses that spectrum directly: participation ratios need no
     left/right pairing, so this works even where :func:`left_vectors`
-    must refuse.  A periodic chain's transpose is the periodic chain of
-    the model with blocks ``(hop_plus.T, hop_zero.T, hop_minus.T)``,
-    taken from its momentum blocks like :func:`chain_spectrum`; other
-    chains are rebuilt and their transpose is diagonalized densely.
+    must refuse.  The transposed chain is the chain of the model with
+    blocks ``(hop_plus.T, hop_zero.T, hop_minus.T)``, solved like
+    :func:`chain_spectrum` solves its own: from the momentum blocks of
+    a periodic chain where they serve, densely otherwise.
     """
     if side == "right":
         values = spectrum.eigenvalues
         vectors = spectrum.right_vectors
     elif side == "left":
-        waves = None
-        if spectrum.bc is Boundary.PERIODIC:
-            mm, m0, mp = spectrum.model.blocks()
-            waves = _bloch_waves(BlochModel(mp.T, m0.T, mm.T),
-                                 spectrum.n_cells)
-        if waves is None:
-            h = build_chain(spectrum.model, spectrum.n_cells, spectrum.bc)
-            values, vectors = eig_dense(h.T)
-        else:
-            values, vectors = waves[:2]
+        mm, m0, mp = spectrum.model.blocks()
+        values, vectors = _solve(BlochModel(mp.T, m0.T, mm.T),
+                                 spectrum.n_cells, spectrum.bc)[:2]
     else:
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     iprs = ipr(vectors)

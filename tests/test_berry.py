@@ -87,14 +87,28 @@ def test_overlap_resolver_breaks_energy_tie():
 
 
 def test_eig2_energies_match_tracked_loop_bit_for_bit():
-    # eig2 and the sampled loop share one root formula.
-    for model in (lee(), lee(0.6, 0.4, 0.5), demo()):
-        traj = loop_period(model, 256, Gauge.FIRST_COMPONENT_ONE)
-        for j in range(0, traj.k_grid.size, 7):
-            system = eig2(hk(model, traj.k_grid[j]))
-            assert ({system.e_plus, system.e_minus}
-                    == {traj.energies[j], traj.energies_other[j]}), (
-                        model.label, j)
+    # eig2 and the sampled loop share one root formula and one
+    # eigenvector construction, so a gauge with a fixed spinor gives
+    # both the same vectors.  demo()'s transpose pairing vanishes on
+    # the loop, so it has no transpose case.
+    for model in (lee(), lee(0.6, 0.4, 0.5), lee(0.9, 0.5, 1.2),
+                  lee(0.7, 0.5, 0.2), demo()):
+        for gauge in (Gauge.FIRST_COMPONENT_ONE, Gauge.SECOND_COMPONENT_ONE,
+                      Gauge.TRANSPOSE):
+            if model.label == "demo" and gauge is Gauge.TRANSPOSE:
+                with pytest.raises(GaugeSingular):
+                    loop_period(model, 256, gauge)
+                continue
+            traj = loop_period(model, 256, gauge)
+            for j in range(0, traj.k_grid.size, 7):
+                tag = (model.label, gauge.value, j)
+                system = eig2(hk(model, traj.k_grid[j]), gauge)
+                assert ({system.e_plus, system.e_minus}
+                        == {traj.energies[j], traj.energies_other[j]}), tag
+                band = +1 if system.e_plus == traj.energies[j] else -1
+                _, u, l = system.band(band)
+                assert np.array_equal(u, traj.states[j]), tag
+                assert np.array_equal(l, traj.left_states[j]), tag
 
 
 def test_loop_period_braided_needs_two_zones(lee_default):

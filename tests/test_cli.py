@@ -194,6 +194,25 @@ def test_out_file_gets_the_mode_open_would_give(capsys, tmp_path):
         os.umask(umask)
 
 
+def test_out_writes_through_a_symlink(capsys, tmp_path):
+    # open(out, "w") follows a link: the link stays, the target gets
+    # the table and keeps its mode.
+    target = tmp_path / "target.csv"
+    target.write_text("old")
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code, out, _ = run_cli(capsys, ["chain", "--n", "2",
+                                    "--out", str(link)])
+    assert code == 0 and out == ""
+    assert link.is_symlink()
+    assert os.readlink(link) == str(target)
+    table = target.read_text()
+    assert table.startswith("#") and "eigenvalue" in table
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["winding", "--grid", "63"])
     assert code == 2 and "grid" in err

@@ -305,17 +305,48 @@ def test_periodic_spectrum_from_momentum_blocks_matches_dense():
 
 def test_periodic_left_profile_matches_transposed_dense_solve():
     # Non-degenerate lee(): every eigenvalue of h.T matches one state of
-    # the profile, and the two states carry the same participation ratio.
-    for n in (3, 17, 64):
-        spectrum = chain_spectrum(lee(), n, Boundary.PERIODIC)
-        profile = localization_profile(spectrum, side="left")
-        values, vectors = eig_dense(build_chain(lee(), n,
-                                                Boundary.PERIODIC).T)
-        match = np.argmin(np.abs(profile.eigenvalues[:, None]
-                                 - values[None, :]), axis=1)
-        assert np.array_equal(np.sort(match), np.arange(2 * n))
-        assert np.max(np.abs(profile.eigenvalues - values[match])) < 1e-12
-        assert np.max(np.abs(profile.iprs - ipr(vectors)[match])) < 1e-12
+    # the periodic profile, and the two states carry the same
+    # participation ratio.  An open chain's transpose is solved densely,
+    # so there the profile is that solve, bit for bit.
+    for bc in (Boundary.PERIODIC, Boundary.OPEN):
+        for n in (3, 17, 64):
+            spectrum = chain_spectrum(lee(), n, bc)
+            profile = localization_profile(spectrum, side="left")
+            values, vectors = eig_dense(build_chain(lee(), n, bc).T)
+            if bc is Boundary.OPEN:
+                assert np.array_equal(profile.eigenvalues, values)
+                assert np.array_equal(profile.probabilities,
+                                      np.abs(vectors) ** 2)
+                assert np.array_equal(profile.iprs, ipr(vectors))
+                continue
+            match = np.argmin(np.abs(profile.eigenvalues[:, None]
+                                     - values[None, :]), axis=1)
+            assert np.array_equal(np.sort(match), np.arange(2 * n))
+            assert np.max(np.abs(profile.eigenvalues
+                                 - values[match])) < 1e-12
+            assert np.max(np.abs(profile.iprs - ipr(vectors)[match])) < 1e-12
+
+
+def test_transposed_blocks_build_the_transposed_chain(rng):
+    # The left profile solves the chain of (hop_plus.T, hop_zero.T,
+    # hop_minus.T) for the transpose of the chain.  That holds entry for
+    # entry, except on a one-cell ring, which sums its three blocks in
+    # another order: there the two agree to one ulp of the summed block
+    # magnitudes.
+    blocks = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+              for _ in range(3)]
+    for model in (lee(), demo(), BlochModel(*blocks)):
+        mm, m0, mp = model.blocks()
+        transposed = BlochModel(mp.T, m0.T, mm.T)
+        for bc in Boundary:
+            for n in (1, 2, 3, 8):
+                h = build_chain(model, n, bc)
+                h_t = build_chain(transposed, n, bc)
+                if bc is Boundary.PERIODIC and n == 1:
+                    scale = (abs(mm) + abs(m0) + abs(mp)).T
+                    assert np.all(abs(h_t - h.T) <= np.spacing(scale))
+                else:
+                    assert np.array_equal(h_t, h.T), (model.label, bc, n)
 
 
 def test_periodic_chain_with_on_grid_exceptional_point_stays_dense():
