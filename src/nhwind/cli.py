@@ -7,6 +7,15 @@ commands ``winding`` and ``reductio`` default to JSON.  Output is
 written atomically when ``--out`` is given, and byte-deterministic for
 fixed arguments: no timestamps, no environment-dependent content.
 
+Each layer checks what only it can.  The parser's ``choices=`` refuses
+unknown names (model, gauge, band, derivative, boundary, side, format)
+and exits 2 itself.  :func:`_check` refuses the flag values a choices
+list cannot express: a non-finite ``--v/--r/--gamma``, an odd or
+coarse ``--grid``, ``--n`` below 1, a malformed or non-positive
+``--n-list`` and a zero or non-finite ``--lee-normalization``.  The
+library re-checks its own inputs for library callers; the handlers
+read the parsed namespace directly.
+
 Exit codes:
     0  success
     2  usage or validation error
@@ -24,7 +33,6 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,78 +42,49 @@ from .berry import (AmbiguousTracking, NoClosure, band_winding, loop_period,
 from .lattice import (BALANCING, Boundary, MatchFailure, chain_spectrum,
                       classify, localization_profile, spectrum_scan)
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 # Per-zone normalization constants reductio falls back to per model.
 REDUCTIO_DEFAULT_NORMALIZATION = {"demo": 0.5, "lee": 2.0}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated arguments of one invocation."""
-
-    command: str
-    model: str = "lee"
-    v: float = 0.52
-    r: float = 0.5
-    gamma: float = 1.0
-    gauge: str = "transpose"
-    grid: int = 8192
-    band: int = 1
-    derivative: str = "analytic"
-    n: int = 30
-    bc: str = "open"
-    side: str = "right"
-    n_list: tuple[int, ...] = (10, 20, 30)
-    lee_normalization: float | None = None
-    fmt: str = "csv"
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.model not in ("lee", "demo"):
-            raise ValueError(f"unknown model {self.model!r}")
-        for name in ("v", "r", "gamma"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"--{name} must be finite")
-        if self.gauge not in ("first", "second", "transpose"):
-            raise ValueError(f"unknown gauge {self.gauge!r}")
-        if self.grid < 64 or self.grid % 2:
-            raise ValueError(
-                f"--grid must be even and >= 64, got {self.grid}")
-        if self.band not in (1, -1):
-            raise ValueError(f"--band must be 1 or -1, got {self.band}")
-        if self.derivative not in ("analytic", "fd4"):
-            raise ValueError(f"unknown derivative {self.derivative!r}")
-        if self.n < 1:
-            raise ValueError(f"--n must be >= 1, got {self.n}")
-        if self.bc not in ("open", "periodic"):
-            raise ValueError(f"unknown boundary {self.bc!r}")
-        if self.side not in ("right", "left"):
-            raise ValueError(f"unknown side {self.side!r}")
-        if not self.n_list or any(n < 1 for n in self.n_list):
-            raise ValueError("--n-list needs positive cell counts")
-        if self.lee_normalization is not None and (
-                self.lee_normalization == 0
-                or not np.isfinite(self.lee_normalization)):
-            raise ValueError("--lee-normalization must be finite and nonzero")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-
-    def bloch_model(self) -> BlochModel:
-        if self.model == "demo":
-            return demo()
-        return lee(self.v, self.r, self.gamma)
-
-    def gauge_enum(self) -> Gauge:
-        return Gauge(self.gauge)
+def _check(args: argparse.Namespace) -> None:
+    """Refuse the flag values ``choices=`` cannot express, and parse
+    ``--n-list`` into a tuple of cell counts in place."""
+    if hasattr(args, "n_list"):
+        try:
+            args.n_list = tuple(
+                int(part) for part in args.n_list.split(",") if part)
+        except ValueError as exc:
+            raise ValueError(f"bad --n-list {args.n_list!r}") from exc
+    for name in ("v", "r", "gamma"):
+        if not np.isfinite(getattr(args, name)):
+            raise ValueError(f"--{name} must be finite")
+    grid = getattr(args, "grid", 64)
+    if grid < 64 or grid % 2:
+        raise ValueError(f"--grid must be even and >= 64, got {grid}")
+    if getattr(args, "n", 1) < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
+    n_list = getattr(args, "n_list", (1,))
+    if not n_list or min(n_list) < 1:
+        raise ValueError("--n-list needs positive cell counts")
+    norm = getattr(args, "lee_normalization", None)
+    if norm is not None and (norm == 0 or not np.isfinite(norm)):
+        raise ValueError("--lee-normalization must be finite and nonzero")
 
 
-def _cmd_bands(cfg: RunConfig):
-    traj = loop_period(cfg.bloch_model(), grid_size=cfg.grid,
-                       gauge=cfg.gauge_enum(), start_band=cfg.band)
+def _model(args: argparse.Namespace) -> BlochModel:
+    if args.model == "demo":
+        return demo()
+    return lee(args.v, args.r, args.gamma)
+
+
+def _cmd_bands(args: argparse.Namespace):
+    traj = loop_period(_model(args), grid_size=args.grid,
+                       gauge=Gauge(args.gauge), start_band=args.band)
     meta = {
-        "command": "bands", "model": traj.model.label, "gauge": cfg.gauge,
-        "grid_size": cfg.grid, "start_band": cfg.band,
+        "command": "bands", "model": traj.model.label, "gauge": args.gauge,
+        "grid_size": args.grid, "start_band": args.band,
         "period_over_pi": traj.period / np.pi,
         "closure_error": traj.closure_error,
     }
@@ -116,14 +95,14 @@ def _cmd_bands(cfg: RunConfig):
     return meta, columns, rows
 
 
-def _cmd_winding(cfg: RunConfig):
-    rep = winding_report(cfg.bloch_model(), gauge=cfg.gauge_enum(),
-                         grid_size=cfg.grid,
-                         lee_normalization=cfg.lee_normalization,
-                         derivative=cfg.derivative)
+def _cmd_winding(args: argparse.Namespace):
+    rep = winding_report(_model(args), gauge=Gauge(args.gauge),
+                         grid_size=args.grid,
+                         lee_normalization=args.lee_normalization,
+                         derivative=args.derivative)
     meta = {
-        "command": "winding", "model": rep.model_label, "gauge": cfg.gauge,
-        "grid_size": cfg.grid, "derivative": cfg.derivative,
+        "command": "winding", "model": rep.model_label, "gauge": args.gauge,
+        "grid_size": args.grid, "derivative": args.derivative,
     }
     columns = ["period_over_pi", "raw_integral", "gamma_b", "w"]
     row = [rep.period / np.pi, rep.raw_integral, rep.gamma_b, rep.w]
@@ -133,16 +112,16 @@ def _cmd_winding(cfg: RunConfig):
     return meta, columns, [row]
 
 
-def _cmd_band_windings(cfg: RunConfig):
-    model = cfg.bloch_model()
-    w_plus = band_winding(model, band=+1, gauge=cfg.gauge_enum(),
-                          grid_size=cfg.grid, derivative=cfg.derivative)
-    w_minus = band_winding(model, band=-1, gauge=cfg.gauge_enum(),
-                           grid_size=cfg.grid, derivative=cfg.derivative)
+def _cmd_band_windings(args: argparse.Namespace):
+    model = _model(args)
+    w_plus = band_winding(model, band=+1, gauge=Gauge(args.gauge),
+                          grid_size=args.grid, derivative=args.derivative)
+    w_minus = band_winding(model, band=-1, gauge=Gauge(args.gauge),
+                           grid_size=args.grid, derivative=args.derivative)
     meta = {
         "command": "band-windings", "model": model.label,
-        "gauge": cfg.gauge, "grid_size": cfg.grid,
-        "derivative": cfg.derivative,
+        "gauge": args.gauge, "grid_size": args.grid,
+        "derivative": args.derivative,
     }
     columns = ["band", "winding"]
     rows = [["plus", w_plus], ["minus", w_minus], ["sum", w_plus + w_minus]]
@@ -153,22 +132,22 @@ def _near_integer(w: complex) -> int:
     return int(abs(w.imag) <= 1e-6 and abs(w.real - round(w.real)) <= 1e-6)
 
 
-def _cmd_reductio(cfg: RunConfig):
+def _cmd_reductio(args: argparse.Namespace):
     """Loop count vs per-zone count, side by side.
 
     Normalizing the phase per Brillouin zone instead of per closed loop
     multiplies the count by (loop period) / (2 pi * normalization); the
     flag columns record which of the two is still an integer.
     """
-    normalization = cfg.lee_normalization
+    normalization = args.lee_normalization
     if normalization is None:
-        normalization = REDUCTIO_DEFAULT_NORMALIZATION[cfg.model]
-    rep = winding_report(cfg.bloch_model(), gauge=cfg.gauge_enum(),
-                         grid_size=cfg.grid,
+        normalization = REDUCTIO_DEFAULT_NORMALIZATION[args.model]
+    rep = winding_report(_model(args), gauge=Gauge(args.gauge),
+                         grid_size=args.grid,
                          lee_normalization=normalization)
     meta = {
         "command": "reductio", "model": rep.model_label,
-        "gauge": cfg.gauge, "grid_size": cfg.grid,
+        "gauge": args.gauge, "grid_size": args.grid,
         "lee_normalization": normalization,
     }
     columns = ["period_over_pi", "w", "w_lee",
@@ -178,11 +157,11 @@ def _cmd_reductio(cfg: RunConfig):
     return meta, columns, rows
 
 
-def _cmd_chain(cfg: RunConfig):
-    spectrum = chain_spectrum(cfg.bloch_model(), cfg.n, Boundary(cfg.bc))
+def _cmd_chain(args: argparse.Namespace):
+    spectrum = chain_spectrum(_model(args), args.n, Boundary(args.bc))
     meta = {
         "command": "chain", "model": spectrum.model.label,
-        "n_cells": spectrum.n_cells, "bc": cfg.bc, "balancing": BALANCING,
+        "n_cells": spectrum.n_cells, "bc": args.bc, "balancing": BALANCING,
         "max_abs_imag": spectrum.max_abs_imag, "gap": spectrum.gap,
         "midgap_threshold": spectrum.midgap_threshold,
         "excluded": ";".join(str(i) for i in spectrum.excluded),
@@ -195,12 +174,12 @@ def _cmd_chain(cfg: RunConfig):
     return meta, columns, rows
 
 
-def _cmd_localize(cfg: RunConfig):
-    spectrum = chain_spectrum(cfg.bloch_model(), cfg.n, Boundary(cfg.bc))
-    profile = localization_profile(spectrum, side=cfg.side)
+def _cmd_localize(args: argparse.Namespace):
+    spectrum = chain_spectrum(_model(args), args.n, Boundary(args.bc))
+    profile = localization_profile(spectrum, side=args.side)
     meta = {
         "command": "localize", "model": spectrum.model.label,
-        "n_cells": spectrum.n_cells, "bc": cfg.bc, "side": cfg.side,
+        "n_cells": spectrum.n_cells, "bc": args.bc, "side": args.side,
         "balancing": BALANCING, "median_ipr": profile.median_ipr,
     }
     columns = ["state", "site", "probability", "ipr", "label"]
@@ -214,13 +193,13 @@ def _cmd_localize(cfg: RunConfig):
     return meta, columns, rows
 
 
-def _cmd_scan(cfg: RunConfig):
-    model = cfg.bloch_model()
-    open_rows = spectrum_scan(model, cfg.n_list, Boundary.OPEN)
-    per_rows = spectrum_scan(model, cfg.n_list, Boundary.PERIODIC)
+def _cmd_scan(args: argparse.Namespace):
+    model = _model(args)
+    open_rows = spectrum_scan(model, args.n_list, Boundary.OPEN)
+    per_rows = spectrum_scan(model, args.n_list, Boundary.PERIODIC)
     meta = {
         "command": "scan", "model": model.label,
-        "n_list": ";".join(str(n) for n in cfg.n_list),
+        "n_list": ";".join(str(n) for n in args.n_list),
         "balancing": BALANCING,
     }
     columns = ["n_cells", "max_abs_imag", "gap",
@@ -400,30 +379,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {"command": args.command}
-    for name in ("model", "v", "r", "gamma", "gauge", "grid", "band",
-                 "derivative", "n", "bc", "side", "lee_normalization",
-                 "fmt", "out"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if hasattr(args, "n_list"):
-        try:
-            fields["n_list"] = tuple(
-                int(part) for part in str(args.n_list).split(",") if part)
-        except ValueError as exc:
-            raise ValueError(f"bad --n-list {args.n_list!r}") from exc
-    return RunConfig(**fields)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        meta, columns, rows = _DISPATCH[cfg.command](cfg)
-        render = _render_csv if cfg.fmt == "csv" else _render_json
-        _emit(render(meta, columns, rows), cfg.out)
+        _check(args)
+        meta, columns, rows = _DISPATCH[args.command](args)
+        render = _render_csv if args.fmt == "csv" else _render_json
+        _emit(render(meta, columns, rows), args.out)
         return 0
     except GaugeSingular as exc:
         print(f"error: {exc}", file=sys.stderr)

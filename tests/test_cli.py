@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nhwind.berry import AmbiguousTracking, NoClosure
-from nhwind.cli import RunConfig, main
+from nhwind.cli import main
 from nhwind.lattice import MatchFailure
 
 
@@ -291,14 +291,36 @@ def test_solver_failures_map_to_6_not_2(capsys, monkeypatch):
     assert run_cli(capsys, ["chain"])[0] == 6
 
 
-def test_runconfig_validation():
-    good = RunConfig(command="winding")
-    assert good.gauge == "transpose"
-    for kwargs in (dict(model="x"), dict(gauge="x"), dict(grid=63),
-                   dict(grid=70001), dict(band=0), dict(derivative="fd2"),
-                   dict(n=0), dict(bc="x"), dict(side="x"),
-                   dict(n_list=()), dict(n_list=(0,)),
-                   dict(lee_normalization=0.0), dict(fmt="xml"),
-                   dict(v=np.nan)):
-        with pytest.raises(ValueError):
-            RunConfig(command="winding", **kwargs)
+# Names outside a flag's choices: argparse refuses them and exits 2.
+CHOICE_REFUSALS = (
+    ["winding", "--model", "x"],
+    ["winding", "--gauge", "x"],
+    ["bands", "--band", "0"],
+    ["winding", "--derivative", "fd2"],
+    ["chain", "--bc", "x"],
+    ["localize", "--side", "x"],
+    ["chain", "--format", "xml"],
+)
+# Values no choices list can express: main returns 2 and names the flag.
+VALUE_REFUSALS = (
+    (["winding", "--grid", "63"], "--grid"),
+    (["winding", "--grid", "70001"], "--grid"),
+    (["chain", "--n", "0"], "--n"),
+    (["scan", "--n-list", ""], "--n-list"),
+    (["scan", "--n-list", "0"], "--n-list"),
+    (["winding", "--lee-normalization", "0"], "--lee-normalization"),
+    (["winding", "--v", "nan"], "--v"),
+    (["chain", "--model", "demo", "--v", "nan"], "--v"),
+)
+
+
+def test_flag_refusals_exit_2(capsys):
+    for argv in CHOICE_REFUSALS:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert "invalid choice" in capsys.readouterr().err, argv
+    for argv, flag in VALUE_REFUSALS:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: {flag} "), argv
