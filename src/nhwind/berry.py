@@ -108,6 +108,9 @@ CLOSURE_TOL = 1e-8
 # fraction of |s_j| |s_{j-1}| of zero is a tie; so are two overlaps
 # within this relative distance.
 TIE_TOL = 1e-10
+# A closed-loop winding counts as an integer when its imaginary part and
+# its distance to the nearest integer are both within this bound.
+INTEGER_TOL = 1e-6
 # A single sample contributing more than this to the connection integral
 # means an unresolvable pole sits between grid points.
 POLE_TOL = 0.5
@@ -682,7 +685,7 @@ class WindingReport:
     """Aggregated loop result with its quantization contract.
 
     For a closed loop the winding must be real and near-integer;
-    construction enforces both to 1e-6 and refuses to represent
+    construction enforces both to ``INTEGER_TOL`` and refuses to represent
     anything else.  ``w_plus``/``w_minus`` are the optional per-band
     single-zone windings (gauge dependent, unlike ``w``).  The refusal
     is a ``ValueError`` that names the grid: a quadrature too coarse for
@@ -705,10 +708,10 @@ class WindingReport:
     def __post_init__(self) -> None:
         hint = (f"at grid {self.grid_size}: the quadrature is too coarse; "
                 f"a finer --grid or the analytic derivative resolves it")
-        if abs(self.w.imag) > 1e-6:
+        if abs(self.w.imag) > INTEGER_TOL:
             raise ValueError(f"loop winding has imaginary part "
                              f"{self.w.imag:.3e} {hint}")
-        if abs(self.w.real - round(self.w.real)) > 1e-6:
+        if abs(self.w.real - round(self.w.real)) > INTEGER_TOL:
             raise ValueError(f"loop winding {self.w.real!r} is not "
                              f"near-integer {hint}")
 

@@ -37,8 +37,8 @@ import tempfile
 import numpy as np
 
 from .bloch import BlochModel, Defective, Gauge, GaugeSingular, demo, lee
-from .berry import (AmbiguousTracking, NoClosure, band_winding, loop_period,
-                    winding_report)
+from .berry import (INTEGER_TOL, AmbiguousTracking, NoClosure, band_winding,
+                    loop_period, winding_report)
 from .lattice import (BALANCING, Boundary, MatchFailure, chain_spectrum,
                       classify, localization_profile, spectrum_scan)
 
@@ -129,7 +129,8 @@ def _cmd_band_windings(args: argparse.Namespace):
 
 
 def _near_integer(w: complex) -> int:
-    return int(abs(w.imag) <= 1e-6 and abs(w.real - round(w.real)) <= 1e-6)
+    return int(abs(w.imag) <= INTEGER_TOL
+               and abs(w.real - round(w.real)) <= INTEGER_TOL)
 
 
 def _cmd_reductio(args: argparse.Namespace):
