@@ -199,20 +199,22 @@ def _track_branches(e1: np.ndarray, e2: np.ndarray, band: int,
 
 
 def _check_diagonalizable(h: np.ndarray, e1: np.ndarray, e2: np.ndarray,
-                          k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                          s: np.ndarray, k: np.ndarray,
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """Raise :class:`Defective` if branches are parallel at any sample.
 
     The parallelism ratio is symmetric in the two branches, so the check
     runs on the raw (untracked) root pair and catches an exceptional
     point before branch tracking can trip over its degenerate tie.  A
     scalar sample, whose branches carry no eigenvector identity, raises
-    :class:`AmbiguousTracking`.  Returns the unit right vectors of
-    ``e1`` and ``e2``, component-major.
+    :class:`AmbiguousTracking`.  ``e1``, ``e2`` and ``s`` are the
+    three arrays of :func:`~nhwind.bloch._roots`.  Returns the unit
+    right vectors of ``e1`` and ``e2``, component-major.
     """
     scale = _norm(h.reshape(-1, 4).T)  # Frobenius norm of each sample
     units = []
-    for energy in (e1, e2):
-        unit, norm = _unit_vectors(h, energy)
+    for energy, root in ((e1, s), (e2, -s)):
+        unit, norm = _unit_vectors(h, root)
         if np.any(norm <= 1e-14 * (scale + abs(energy))):
             raise AmbiguousTracking(
                 "scalar Hamiltonian sample on the loop: branches carry no "
@@ -247,8 +249,9 @@ def _overlap_resolver(e1: np.ndarray, r1: np.ndarray, r2: np.ndarray,
 
 def _samples(model: BlochModel, k_inc: np.ndarray,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(h, e1, e2)``: the Hamiltonian on ``k_inc`` and both of its
-    closed-form roots, in :func:`~nhwind.bloch._roots`' labeling."""
+    """``(h, e1, e2, s)``: the Hamiltonian on ``k_inc``, both of its
+    closed-form roots and their half splitting, as
+    :func:`~nhwind.bloch._roots` returns them."""
     h = hk(model, k_inc)
     return (h, *_roots(h))
 
@@ -273,7 +276,7 @@ def _tracked_segment(model: BlochModel, k_inc: np.ndarray, gauge: Gauge,
     """Track one branch over an inclusive momentum grid.
 
     Shared front end of the loop and segment integrators: takes the
-    samples ``(h, e1, e2)`` of :func:`_samples` on ``k_inc`` (evaluated
+    samples ``(h, e1, e2, s)`` of :func:`_samples` on ``k_inc`` (evaluated
     here unless given), runs the per-sample health checks, tracks the
     branch with the overlap tie-break and fixes the gauge on the
     tracked branch.  Returns ``(tracked, other, u, l, c)``: the energies
@@ -282,8 +285,8 @@ def _tracked_segment(model: BlochModel, k_inc: np.ndarray, gauge: Gauge,
     and the spinor ``c`` with ``c @ u = 1``, chosen over the tracked
     branch in the smooth gauge.
     """
-    h, e1, e2 = _samples(model, k_inc) if samples is None else samples
-    r1, r2 = _check_diagonalizable(h, e1, e2, k_inc)
+    h, e1, e2, s = _samples(model, k_inc) if samples is None else samples
+    r1, r2 = _check_diagonalizable(h, e1, e2, s, k_inc)
     try:
         e_t, e_o = _track_branches(e1, e2, start_band,
                                    _overlap_resolver(e1, r1.T, r2.T))
@@ -461,7 +464,7 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
     samples = _samples(model, k_inc)
     closure = np.inf
     # A braided zone ends on the other branch, so it cannot close.
-    for zones in (2,) if _braids(*samples[1:]) else (1, 2):
+    for zones in (2,) if _braids(*samples[1:3]) else (1, 2):
         if zones == 2:
             k_inc = np.arange(2 * grid_size + 1) * step
             samples = None  # evaluated on the two-zone grid

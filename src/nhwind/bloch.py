@@ -10,8 +10,12 @@ and the spectrum is generally complex.  Everything downstream (Berry
 phases, winding numbers, finite chains) is built on the closed-form
 2x2 eigensystem held here: the roots ``m +- sqrt(D)`` with
 ``m = tr(h)/2`` and the discriminant ``D = ((a - d)/2)^2 + b c``, the
-unit eigenvector (the longer row null vector of ``h - E``, scaled to
-unit norm) and the parallelism ratio that detects an exceptional point.
+unit eigenvector (the longer of the row null vectors
+``(b, +-sqrt(D) - (a - d)/2)`` and ``(+-sqrt(D) + (a - d)/2, c)`` of
+``h - E``, built from the same root and scaled to unit norm) and the
+parallelism ratio that detects an exceptional point.  Neither the roots
+nor the vectors subtract the mean energy ``m`` back out, so a splitting
+far below ``|m|`` keeps its digits in both.
 Each is written once, vectorized over any leading shape; :func:`eig2`
 applies them to a single matrix and :mod:`nhwind.berry` to a whole
 sampled loop.
@@ -172,11 +176,13 @@ def _reference_spinor(unit: np.ndarray,
     return candidates[pick]
 
 
-def _roots(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _roots(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both eigenvalues of ``h`` (shape ``(..., 2, 2)``) in a fixed
-    labeling: ``m + s`` with ``m = tr(h)/2`` and the principal root
-    ``s = sqrt(D)`` of the discriminant ``D = ((a - d)/2)^2 + b c``, and
-    the trace partner ``tr(h) - (m + s)``.
+    labeling, and the root they split by: ``m + s`` with ``m = tr(h)/2``
+    and the principal root ``s = sqrt(D)`` of the discriminant
+    ``D = ((a - d)/2)^2 + b c``, the trace partner ``tr(h) - (m + s)``,
+    and ``s`` itself, which :func:`_unit_vectors` takes as ``+s`` and
+    ``-s``.
 
     ``D`` equals ``m^2 - det h`` but never subtracts the two, so a
     splitting far below ``|m|`` keeps its digits.  The splitting
@@ -190,7 +196,7 @@ def _roots(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.sqrt(half_gap * half_gap + b * c)
     e1 = m + s
     e2 = (a + d) - e1
-    return e1, e2
+    return e1, e2, s
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -220,20 +226,26 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((v.conj() * v).real, axis=0))
 
 
-def _unit_vectors(h: np.ndarray, energy: np.ndarray,
+def _unit_vectors(h: np.ndarray, root: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Unit right eigenvectors of ``h`` at ``energy`` (component-major)
-    and the norm they were scaled from.
+    """Unit right eigenvectors of ``h`` (component-major) at the
+    eigenvalues ``m + root``, where ``root`` is ``+s`` or ``-s`` of
+    :func:`_roots` per sample, and the norm they were scaled from.
 
-    The vector is the longer of the row null vectors ``(b, E - a)`` and
-    ``(E - d, c)`` of ``h - E``: at an eigenvalue they are parallel, and
-    at least one is nonzero unless ``h`` is scalar.  This is the one
-    place an eigenvector is formed from ``(h, E)``; every gauge rescales
-    the vector returned here.  A zero norm (scalar ``h``) leaves a NaN
-    vector behind; callers refuse those samples by the norm.
+    The vector is the longer of the row null vectors
+    ``(b, root - (a - d)/2)`` and ``(root + (a - d)/2, c)`` of
+    ``h - E``: these are ``(b, E - a)`` and ``(E - d, c)`` with the mean
+    energy ``m`` taken out analytically, so a splitting far below
+    ``|m|`` keeps its digits.  At an eigenvalue the two rows are
+    parallel, and at least one is nonzero unless ``h`` is scalar.  This
+    is the one place an eigenvector is formed from ``h``; every gauge
+    rescales the vector returned here.  A zero norm (scalar ``h``)
+    leaves a NaN vector behind; callers refuse those samples by the
+    norm.
     """
-    r1 = np.stack([h[..., 0, 1], energy - h[..., 0, 0]])
-    r2 = np.stack([energy - h[..., 1, 1], h[..., 1, 0]])
+    half_gap = 0.5 * (h[..., 0, 0] - h[..., 1, 1])
+    r1 = np.stack([h[..., 0, 1], root - half_gap])
+    r2 = np.stack([root + half_gap, h[..., 1, 0]])
     n1 = _norm(r1)
     n2 = _norm(r2)
     use1 = n1 >= n2
@@ -473,7 +485,7 @@ def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem
     # The roots come from a one-sample batch: numpy's scalar complex
     # product can differ in the last bit from the array product a
     # sampled loop uses.
-    e_plus, e_minus = roots = np.concatenate(_roots(h[None]))
+    (e_plus,), (e_minus,), root = _roots(h[None])
     m = 0.5 * (h[0, 0] + h[1, 1])
     if np.linalg.norm(h - m * np.eye(2)) <= 1e-14 * max(np.linalg.norm(h),
                                                        1.0):
@@ -483,7 +495,7 @@ def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem
         unit = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
         unit /= np.sqrt(2.0)
     else:
-        unit, _ = _unit_vectors(np.stack([h, h]), roots)
+        unit, _ = _unit_vectors(np.stack([h, h]), np.r_[root, -root])
     # Defectiveness first: the ratio is gauge independent.
     ratio = float(_parallelism(unit[:, 0], unit[:, 1]))
     if ratio < DEFECTIVE_TOL:

@@ -352,9 +352,9 @@ def _bloch_waves(model: BlochModel, n_cells: int, with_left: bool = False):
         return None
     k = 2.0 * np.pi * np.arange(n_cells) / n_cells
     h = hk(model, k)
-    e1, e2 = _roots(h)
+    e1, e2, s = _roots(h)
     try:
-        u1, u2 = _check_diagonalizable(h, e1, e2, k)
+        u1, u2 = _check_diagonalizable(h, e1, e2, s, k)
     except (AmbiguousTracking, Defective):
         return None
     blocks = np.stack([u1.T, u2.T], axis=-1)

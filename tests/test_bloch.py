@@ -232,6 +232,16 @@ def test_eig2_splitting_far_below_the_mean_energy():
         assert left @ u == pytest.approx(1.0, abs=1e-15)
 
 
+def test_eig2_vectors_keep_a_splitting_far_below_the_mean_energy():
+    # The null row (b, E - a) would hold 1e-9 recovered from
+    # (1 + 1e-9) - 1, off by 8e-8 relative; the rows built from
+    # +-sqrt(D) -+ (a - d)/2 never subtract the mean energy.
+    h = np.array([[1.0, 1e-9], [1e-9, 1.0]], dtype=complex)
+    sys2 = eig2(h)
+    for u, exact in ((sys2.u_plus, [1.0, 1.0]), (sys2.u_minus, [1.0, -1.0])):
+        assert np.linalg.norm(u - exact) <= 1e-15 * np.linalg.norm(exact)
+
+
 def test_eig2_gauge_singular_on_vanishing_component():
     for gauge in (Gauge.FIRST_COMPONENT_ONE, Gauge.SECOND_COMPONENT_ONE,
                   Gauge.TRANSPOSE):
