@@ -248,7 +248,7 @@ def _overlap_resolver(e1: np.ndarray, r1: np.ndarray, r2: np.ndarray,
 
 
 def _samples(model: BlochModel, k_inc: np.ndarray,
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(h, e1, e2, s)``: the Hamiltonian on ``k_inc``, both of its
     closed-form roots and their half splitting, as
     :func:`~nhwind.bloch._roots` returns them."""

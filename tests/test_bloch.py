@@ -222,23 +222,17 @@ def test_eig2_defective_raises():
 def test_eig2_splitting_far_below_the_mean_energy():
     # m^2 - det h cancels to 0 here; the discriminant ((a - d)/2)^2 + bc
     # keeps the 1e-9 splitting of this well-conditioned Hermitian matrix.
+    # The vectors keep it too: a null row (b, E - a) would hold 1e-9
+    # recovered from (1 + 1e-9) - 1, 8e-8 off, and the residual would
+    # not show it.
     h = np.array([[1.0, 1e-9], [1e-9, 1.0]], dtype=complex)
     sys2 = eig2(h)
     assert abs(sys2.e_plus - (1.0 + 1e-9)) <= 1e-15
     assert abs(sys2.e_minus - (1.0 - 1e-9)) <= 1e-15
-    for band in (+1, -1):
+    for band, exact in ((+1, [1.0, 1.0]), (-1, [1.0, -1.0])):
         energy, u, left = sys2.band(band)
         assert np.linalg.norm(h @ u - energy * u) <= 1e-15
         assert left @ u == pytest.approx(1.0, abs=1e-15)
-
-
-def test_eig2_vectors_keep_a_splitting_far_below_the_mean_energy():
-    # The null row (b, E - a) would hold 1e-9 recovered from
-    # (1 + 1e-9) - 1, off by 8e-8 relative; the rows built from
-    # +-sqrt(D) -+ (a - d)/2 never subtract the mean energy.
-    h = np.array([[1.0, 1e-9], [1e-9, 1.0]], dtype=complex)
-    sys2 = eig2(h)
-    for u, exact in ((sys2.u_plus, [1.0, 1.0]), (sys2.u_minus, [1.0, -1.0])):
         assert np.linalg.norm(u - exact) <= 1e-15 * np.linalg.norm(exact)
 
 
