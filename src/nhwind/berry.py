@@ -45,13 +45,17 @@ Continuity is a rule on the splitting ``E1 - E2 = 2 sqrt(D)`` alone,
 with the discriminant ``D = ((a - d)/2)^2 + b c`` of :mod:`nhwind.bloch`:
 the tracked branch is ``tr(h)/2 + sqrt(D)`` continued analytically
 along k (:func:`_turns`), so a scalar term ``f(k) * 1`` in ``h(k)``
-never moves it.  The braid is the half-integer phase winding of
-``sqrt(D)`` over a zone, the "energy vorticity" of Shen, Zhen & Fu,
-PRL 120, 146402 (2018): the continued splitting flips sign an odd
-number of times over one zone.  :func:`loop_period` reads the period
-from that parity before it tracks anything, tracks a braided loop over
-its two zones at once, and keeps the closure check as a validation of
-the loop it returns.
+never moves it.  The tracker (:func:`_track_branches`) returns which
+root each sample is on, ``e1 = m + sqrt(D)`` or its trace partner
+``e2``, and decides a tie of the rule (a right-angle turn) from the two
+roots' unit right vectors; the tracked energies and vectors are both
+selected from that one mask.  The braid is the half-integer phase
+winding of ``sqrt(D)`` over a zone, the "energy vorticity" of Shen,
+Zhen & Fu, PRL 120, 146402 (2018): the continued splitting flips sign
+an odd number of times over one zone.  :func:`loop_period` reads the
+period from that parity before it tracks anything, tracks a braided
+loop over its two zones at once, and keeps the closure check as a
+validation of the loop it returns.
 
 Per-band segment integrals over a single Brillouin zone
 (:func:`band_winding`) and the two halves of a braided loop
@@ -78,7 +82,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable
 
 import numpy as np
 
@@ -147,9 +150,10 @@ class NoClosure(RuntimeError):
 def _turns(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Continuity rule of a branch splitting, per step ``j - 1 -> j``.
 
-    ``split`` holds ``s = E1 - E2 = 2 sqrt(D)`` at each sample in some
-    labeling.  The continuation of ``s_{j-1}`` is whichever of ``+-s_j``
-    it turns toward, decided by the sign of
+    ``split`` holds ``s = E1 - E2 = 2 sqrt(D)``, or ``sqrt(D)`` itself
+    (the rule is scale free), at each sample in some labeling.  The
+    continuation of ``s_{j-1}`` is whichever of ``+-s_j`` it turns
+    toward, decided by the sign of
     ``turn = Re(s_j conj(s_{j-1}))``: the analytic continuation of
     ``sqrt(D)``, the same as ``unwrap(angle D) / 2``.  The mean energy
     never enters.  Returns ``(flip, tie)``, one entry per step: ``flip``
@@ -162,40 +166,39 @@ def _turns(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return turn < -margin, abs(turn) <= margin
 
 
-def _track_branches(e1: np.ndarray, e2: np.ndarray, band: int,
-                    resolver: Callable[[int, complex],
-                                       tuple[float, float]] | None = None,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Follow one energy branch through the sample arrays by continuity.
+def _track_branches(s: np.ndarray, band: int, r1: np.ndarray | None = None,
+                    r2: np.ndarray | None = None) -> np.ndarray:
+    """Follow one branch through the samples by continuity.
 
-    ``e1``/``e2`` hold the two closed-form roots at each momentum in a
-    fixed (unordered) labeling.  Tracking starts on ``e1`` for
-    ``Band.PLUS`` and on ``e2`` for ``Band.MINUS`` and continues the
-    splitting ``e1 - e2`` by :func:`_turns`.  On a tie,
-    ``resolver(j, previous_other_energy)`` must return the eigenvector
-    overlaps of the two candidates with the previous state; a missing
-    resolver or an overlap tie raises :class:`AmbiguousTracking`.
+    ``s`` holds the half splitting ``sqrt(D)`` of the two closed-form
+    roots ``e1`` and ``e2`` at each momentum, as
+    :func:`~nhwind.bloch._roots` returns them.  Tracking starts on
+    ``e1`` for ``Band.PLUS`` and on ``e2`` for ``Band.MINUS`` and
+    continues ``s`` by :func:`_turns`.  A tie at step ``j`` is decided
+    by ``r1``/``r2``, the unit right vectors of ``e1`` and ``e2``
+    (component-major): the adjugate row of the previous *other*-branch
+    vector annihilates the root a crossover would land on and is
+    maximal on the true continuation, so the branch goes to the root it
+    overlaps more.  Missing vectors or an overlap tie raise
+    :class:`AmbiguousTracking`.
 
-    Returns ``(tracked, other)`` energy arrays.
+    Returns ``on2``: per sample, whether the branch sits on ``e2``.
     """
-    e1 = np.asarray(e1, dtype=complex)
-    e2 = np.asarray(e2, dtype=complex)
-    if e1.shape != e2.shape or e1.ndim != 1:
-        raise ValueError("branch arrays must be equal-length 1-d")
     start_on2 = Band(band) is Band.MINUS
-    flip, tie = _turns(e1 - e2)
+    flip, tie = _turns(s)
     for j in np.flatnonzero(tie) + 1:
-        if resolver is None:
+        if r1 is None:
             raise AmbiguousTracking(
                 f"splitting tie at sample {j} with no overlap data")
         on2 = start_on2 != bool(np.count_nonzero(flip[:j - 1]) % 2)
-        o1, o2 = resolver(j, complex(e1[j - 1] if on2 else e2[j - 1]))
+        prev = (r1 if on2 else r2)[:, j - 1]
+        l_dir = np.array([prev[1], -prev[0]])
+        o1, o2 = abs(l_dir @ r1[:, j]), abs(l_dir @ r2[:, j])
         if abs(o1 - o2) <= TIE_TOL * max(o1, o2, 1e-300):
             raise AmbiguousTracking(
                 f"splitting and overlap tie at sample {j}")
         flip[j - 1] = (o1 > o2) == on2
-    on2 = np.logical_xor.accumulate(np.r_[start_on2, flip])
-    return np.where(on2, e2, e1), np.where(on2, e1, e2)
+    return np.logical_xor.accumulate(np.r_[start_on2, flip])
 
 
 def _check_diagonalizable(h: np.ndarray, e1: np.ndarray, e2: np.ndarray,
@@ -230,44 +233,17 @@ def _check_diagonalizable(h: np.ndarray, e1: np.ndarray, e2: np.ndarray,
     return units[0], units[1]
 
 
-def _overlap_resolver(e1: np.ndarray, r1: np.ndarray, r2: np.ndarray,
-                      ) -> Callable[[int, complex], tuple[float, float]]:
-    """Tie-breaker: overlap of each candidate with the previous state.
-
-    ``r1``/``r2`` are the unit right vectors of the roots ``e1`` and the
-    other one, one row per sample.  The previous left direction is the
-    adjugate row of the previous *other*-branch vector, so it
-    annihilates the branch a crossover would land on and is maximal on
-    the true continuation.
-    """
-    def resolve(j: int, prev_other_energy: complex) -> tuple[float, float]:
-        prev = r1[j - 1] if prev_other_energy == e1[j - 1] else r2[j - 1]
-        l_dir = np.array([prev[1], -prev[0]])
-        return float(abs(l_dir @ r1[j])), float(abs(l_dir @ r2[j]))
-    return resolve
-
-
-def _samples(model: BlochModel, k_inc: np.ndarray,
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(h, e1, e2, s)``: the Hamiltonian on ``k_inc``, both of its
-    closed-form roots and their half splitting, as
-    :func:`~nhwind.bloch._roots` returns them."""
-    h = hk(model, k_inc)
-    return (h, *_roots(h))
-
-
-def _braids(e1: np.ndarray, e2: np.ndarray) -> bool:
+def _braids(s: np.ndarray) -> bool:
     """Whether the branches swap over the zone sampled inclusively by
-    the roots ``e1``/``e2``: the splitting ``e1 - e2``, continued by
-    :func:`_turns` over the zone and then across the wrap from
-    ``k = 2 pi`` back to ``k = 0``, flips sign decisively.  A tie
-    anywhere on the way answers ``False``: only the tracker's overlap
-    resolver can decide it.
+    the half splitting ``s``: ``s``, continued by :func:`_turns` over
+    the zone and then across the wrap from ``k = 2 pi`` back to
+    ``k = 0``, flips sign decisively.  A tie anywhere on the way answers
+    ``False``: only the tracker, from the two roots' unit vectors, can
+    decide it.
     """
-    split = e1 - e2
-    flip, tie = _turns(split)
-    end = -split[-1] if np.count_nonzero(flip) % 2 else split[-1]
-    wrap_flip, _ = _turns(np.array([split[0], end]))
+    flip, tie = _turns(s)
+    end = -s[-1] if np.count_nonzero(flip) % 2 else s[-1]
+    wrap_flip, _ = _turns(np.array([s[0], end]))
     return not np.any(tie) and bool(wrap_flip[0])
 
 
@@ -276,29 +252,28 @@ def _tracked_segment(model: BlochModel, k_inc: np.ndarray, gauge: Gauge,
     """Track one branch over an inclusive momentum grid.
 
     Shared front end of the loop and segment integrators: takes the
-    samples ``(h, e1, e2, s)`` of :func:`_samples` on ``k_inc`` (evaluated
-    here unless given), runs the per-sample health checks, tracks the
-    branch with the overlap tie-break and fixes the gauge on the
-    tracked branch.  Returns ``(tracked, other, u, l, c)``: the energies
-    of both branches, the gauge-fixed right and left vectors of the
-    tracked one (see :func:`nhwind.bloch._fix_gauge`), component-major,
-    and the spinor ``c`` with ``c @ u = 1``, chosen over the tracked
-    branch in the smooth gauge.
+    samples ``(h, e1, e2, s)`` on ``k_inc``, the Hamiltonian and its
+    :func:`~nhwind.bloch._roots` (evaluated here unless given), runs the
+    per-sample health checks, tracks the branch with the overlap
+    tie-break and fixes the gauge on the tracked branch.  Returns
+    ``(tracked, other, u, l, c)``: the energies of both branches, the
+    gauge-fixed right and left vectors of the tracked one (see
+    :func:`nhwind.bloch._fix_gauge`), component-major, and the spinor
+    ``c`` with ``c @ u = 1``, chosen over the tracked branch in the
+    smooth gauge.
     """
-    h, e1, e2, s = _samples(model, k_inc) if samples is None else samples
+    if samples is None:
+        h = hk(model, k_inc)
+        samples = (h, *_roots(h))
+    h, e1, e2, s = samples
     r1, r2 = _check_diagonalizable(h, e1, e2, s, k_inc)
     try:
-        e_t, e_o = _track_branches(e1, e2, start_band,
-                                   _overlap_resolver(e1, r1.T, r2.T))
+        on2 = _track_branches(s, start_band, r1, r2)
     except AmbiguousTracking as exc:
         raise AmbiguousTracking(f"{exc} (of {k_inc.size} samples on "
                                 f"[0, {k_inc[-1]:.6f}])") from exc
-    # The tracker copies each energy from e1 or e2, so equality tells
-    # which root's unit vector the branch took at every sample.
-    swap = e_t != e1
-    r1, r2 = np.where(swap, r2, r1), np.where(swap, r1, r2)
-    u, l, c = _fix_gauge(r1, r2, gauge)
-    return e_t, e_o, u, l, c
+    u, l, c = _fix_gauge(np.where(on2, r2, r1), np.where(on2, r1, r2), gauge)
+    return np.where(on2, e2, e1), np.where(on2, e1, e2), u, l, c
 
 
 @dataclass(frozen=True)
@@ -461,10 +436,11 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
     start_band = Band(start_band)
     gauge = Gauge(gauge)
     k_inc = np.arange(grid_size + 1) * step
-    samples = _samples(model, k_inc)
+    h = hk(model, k_inc)
+    samples = (h, *_roots(h))
     closure = np.inf
     # A braided zone ends on the other branch, so it cannot close.
-    for zones in (2,) if _braids(*samples[1:3]) else (1, 2):
+    for zones in (2,) if _braids(samples[3]) else (1, 2):
         if zones == 2:
             k_inc = np.arange(2 * grid_size + 1) * step
             samples = None  # evaluated on the two-zone grid

@@ -153,13 +153,12 @@ def eig_dense(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[order], vectors[:, order]
 
 
-def left_vectors(h: np.ndarray, values: np.ndarray | None = None,
-                 right: np.ndarray | None = None) -> np.ndarray:
+def left_vectors(h: np.ndarray, right: np.ndarray | None = None,
+                 ) -> np.ndarray:
     """Left eigenvector rows paired so that ``L[i] @ right[:, i] = 1``.
 
     ``right`` is the vector output of :func:`eig_dense` on ``h`` and is
-    recomputed only when omitted; ``values`` is accepted for symmetry
-    with that output and unused.  The rows are those of
+    recomputed only when omitted.  The rows are those of
     ``inv(right)``, biorthonormal to the right vectors by construction.
     Each pair's condition number ``kappa_i = |l_i| |u_i| / |l_i . u_i|``
     bounds the first-order error of eigenvalue ``i`` by
@@ -393,7 +392,7 @@ def _solve(model: BlochModel, n_cells: int, bc: Boundary,
         return waves
     h = build_chain(model, n_cells, bc)
     values, right = eig_dense(h)
-    left = left_vectors(h, values, right) if with_left else None
+    left = left_vectors(h, right) if with_left else None
     return values, right, left, right
 
 

@@ -10,7 +10,7 @@ from nhwind import (AmbiguousTracking, Band, BlochModel, Defective, Gauge,
                     hk, hk_derivative, lee, loop_period, split_check,
                     winding_lee, winding_number, winding_report)
 from nhwind import berry
-from nhwind.berry import _overlap_resolver, _track_branches
+from nhwind.berry import _track_branches, _tracked_segment
 from nhwind.bloch import REFERENCE_SPINORS, _reference_spinor
 
 # Frozen per-band windings of the lee defaults at grid 8192.
@@ -28,30 +28,42 @@ def test_band_enum_coercion():
         Band(0)
 
 
+def _tracked(e1, e2, band, r1=None, r2=None):
+    """(tracked, other) energies of the roots ``e1``/``e2`` as the
+    tracker's mask selects them."""
+    e1, e2 = np.asarray(e1, dtype=complex), np.asarray(e2, dtype=complex)
+    on2 = _track_branches(0.5 * (e1 - e2), band, r1, r2)
+    return np.where(on2, e2, e1), np.where(on2, e1, e2)
+
+
 def test_track_branches_follows_nearest():
     e1 = np.array([0.0, 0.1, 0.2], dtype=complex)
     e2 = np.array([1.0, 0.9, 0.8], dtype=complex)
-    tracked, other = _track_branches(e1, e2, Band.PLUS)
+    tracked, other = _tracked(e1, e2, Band.PLUS)
     assert np.array_equal(tracked, e1)
     assert np.array_equal(other, e2)
-    tracked, other = _track_branches(e1, e2, Band.MINUS)
+    tracked, other = _tracked(e1, e2, Band.MINUS)
     assert np.array_equal(tracked, e2)
 
 
-def test_track_branches_tie_needs_resolver():
+def test_track_branches_tie_needs_vectors():
+    # A vanishing splitting at sample 0 ties the continuity rule.  The
+    # branch starts on e1, so the previous other-branch vector is
+    # r2[:, 0] = (0, 1) and the left direction is (1, 0): the root whose
+    # vector has the larger first component at sample 1 wins.
     e1 = np.array([0.0, 1.0], dtype=complex)
     e2 = np.array([0.0, -1.0], dtype=complex)
     with pytest.raises(AmbiguousTracking):
-        _track_branches(e1, e2, Band.PLUS, resolver=None)
-    tracked, _ = _track_branches(e1, e2, Band.PLUS,
-                                 resolver=lambda j, prev: (1.0, 0.1))
+        _tracked(e1, e2, Band.PLUS)
+    r2 = np.array([[0.0, 0.1], [1.0, 1.0]], dtype=complex)
+    tracked, _ = _tracked(e1, e2, Band.PLUS, np.array([[1.0, 1.0],
+                                                       [0.0, 0.1]]), r2)
     assert tracked[1] == 1.0
-    tracked, _ = _track_branches(e1, e2, Band.PLUS,
-                                 resolver=lambda j, prev: (0.1, 1.0))
+    tracked, _ = _tracked(e1, e2, Band.PLUS, np.array([[1.0, 0.01],
+                                                       [0.0, 1.0]]), r2)
     assert tracked[1] == -1.0
     with pytest.raises(AmbiguousTracking):
-        _track_branches(e1, e2, Band.PLUS,
-                        resolver=lambda j, prev: (0.5, 0.5))
+        _tracked(e1, e2, Band.PLUS, np.array([[1.0, 0.1], [0.0, 1.0]]), r2)
 
 
 def test_track_branches_follows_the_splitting_not_the_mean():
@@ -60,30 +72,69 @@ def test_track_branches_follows_the_splitting_not_the_mean():
     # is the nearer energy.
     e1 = np.array([1.0, 11.0], dtype=complex)
     e2 = np.array([-1.0, 9.0], dtype=complex)
-    tracked, other = _track_branches(e1, e2, Band.PLUS)
+    tracked, other = _tracked(e1, e2, Band.PLUS)
     assert np.array_equal(tracked, e1) and np.array_equal(other, e2)
     # A sign change of the splitting swaps the labels, here again onto
     # the farther energy.
-    tracked, _ = _track_branches(np.array([1.0, 9.0]),
-                                 np.array([-1.0, 11.0]), Band.PLUS)
+    tracked, _ = _tracked([1.0, 9.0], [-1.0, 11.0], Band.PLUS)
     assert np.array_equal(tracked, [1.0, 11.0])
 
 
-def test_overlap_resolver_breaks_energy_tie():
+def test_overlap_rule_breaks_splitting_tie():
     # The splitting turns by a right angle at sample 1 (2 -> 2i), an
-    # exact tie of the continuity rule.  The previous other-branch
-    # vector is e2, so the left direction is (1, 0): it annihilates
-    # r2[1] and keeps the continuation r1[1].
+    # exact tie of the continuity rule.  From Band.PLUS the previous
+    # other-branch vector is e2, so the left direction is (1, 0): it
+    # annihilates r2[:, 1] and keeps the continuation r1[:, 1].  From
+    # Band.MINUS it is (0, -1), which favours r2[:, 1] (1.0 over 0.8).
     e1 = np.array([1.0, 1.0j], dtype=complex)
-    e2 = np.array([-1.0, -1.0j], dtype=complex)
-    r1 = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
-    r2 = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
-    resolve = _overlap_resolver(e1, r1, r2)
-    assert resolve(1, complex(e2[0])) == pytest.approx((0.6, 0.0))
-    # Had the branch come from e2, the left direction would be (0, -1).
-    assert resolve(1, complex(e1[0])) == pytest.approx((0.8, 1.0))
-    tracked, other = _track_branches(e1, e2, Band.PLUS, resolve)
+    e2 = -e1
+    r1 = np.array([[1.0, 0.6], [0.0, 0.8]], dtype=complex)
+    r2 = np.array([[0.0, 0.0], [1.0, 1.0]], dtype=complex)
+    tracked, other = _tracked(e1, e2, Band.PLUS, r1, r2)
     assert np.array_equal(tracked, e1) and np.array_equal(other, e2)
+    tracked, other = _tracked(e1, e2, Band.MINUS, r1, r2)
+    assert np.array_equal(tracked, e2) and np.array_equal(other, e1)
+    # Equal overlaps of the two candidates leave the tie standing.
+    r2_tied = np.array([[0.0, -0.6], [1.0, 0.8]], dtype=complex)
+    with pytest.raises(AmbiguousTracking, match="overlap tie at sample 1"):
+        _tracked(e1, e2, Band.PLUS, r1, r2_tied)
+
+
+def test_tracked_segment_hands_a_resolved_tie_its_own_vectors():
+    # Explicit samples h_j = R_j diag(s_j, -s_j) R_j^-1 with s = (1, i):
+    # the splitting turns by a right angle, an exact tie.  The columns
+    # of R_1 are roughly those of R_0 swapped, so the overlap rule moves
+    # each branch onto the other root at sample 1.  The energies the
+    # segment returns and the gauge-fixed u must both belong to the
+    # root that rule picks.
+    s = np.array([1.0, 1.0j])
+    rs = np.array([[[1.0, 0.3 + 0.1j], [0.2, 1.0]],
+                   [[0.25, 1.0], [1.0 - 0.05j, 0.35]]], dtype=complex)
+    h = np.stack([r @ np.diag([sj, -sj]) @ np.linalg.inv(r)
+                  for r, sj in zip(rs, s)])
+    unit = rs / np.linalg.norm(rs, axis=1, keepdims=True)
+    k_inc = np.array([0.0, 0.1])
+    for band in Band:
+        start = 0 if band is Band.PLUS else 1
+        other = unit[0][:, 1 - start]
+        l_dir = np.array([other[1], -other[0]])
+        pick = int(np.argmax(abs(l_dir @ unit[1])))
+        assert pick != start
+        for gauge in Gauge:
+            tracked, rest, u, l, c = _tracked_segment(
+                lee(), k_inc, gauge, band, (h, s, -s, s))
+            tag = (band.name, gauge.value)
+            assert tracked[0] == (s[0] if start == 0 else -s[0]), tag
+            assert tracked[1] == (s[1] if pick == 0 else -s[1]), tag
+            assert np.array_equal(rest, -tracked), tag
+            for j in range(2):
+                size = np.max(abs(u[:, j]))
+                residual = h[j] @ u[:, j] - tracked[j] * u[:, j]
+                assert np.max(abs(residual)) < 1e-12 * size, tag
+            # Parallel to R_1's picked column.
+            picked = rs[1][:, pick]
+            cross = u[0, 1] * picked[1] - u[1, 1] * picked[0]
+            assert abs(cross) < 1e-12 * np.max(abs(u[:, 1])), tag
 
 
 def test_eig2_energies_match_tracked_loop_bit_for_bit():
