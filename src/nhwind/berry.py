@@ -75,8 +75,10 @@ real eigenvector component has a genuine zero, so ``first``,
 pins ``c . u = 1`` for a reference spinor ``c`` chosen to stay away from
 zero along the whole tracked branch, and integrates through.  Changing
 ``c`` can shift the integer loop winding by an even number; only
-``w mod 2`` is gauge invariant, and the smooth gauge's fixed candidate
-order is the convention that fixes ``w`` itself.
+``w mod 2`` is gauge invariant.  Every :class:`LoopTrajectory` records
+the ``c`` it was pinned with as its ``reference``, the convention that
+fixes ``w`` itself; in the smooth gauge the fixed candidate order
+picks it.
 """
 from __future__ import annotations
 
@@ -286,17 +288,20 @@ class LoopTrajectory:
     ``states`` holds the gauge-fixed right vectors and ``left_states``
     their left partners: rows of the inverse eigenvector matrix in the
     gauges with inverse pairing, the right vectors themselves in the
-    transpose gauge.  ``reference`` is the smooth gauge's spinor ``c``
-    (``c @ u = 1`` at every sample) and ``None`` in the other gauges,
-    whose spinor the gauge itself fixes.  The state arrays have shape
-    ``(m, 2)``; the loop stores them as transposed views of
-    component-major ``(2, m)`` arrays, so ``states.T[0]`` and
+    transpose gauge.  ``reference`` is the spinor ``c`` the gauge
+    pinned, ``c @ u = 1`` at every sample: ``e1`` in ``first`` and
+    ``transpose``, ``e2`` in ``second``, the picked candidate in
+    ``smooth``.  It names the convention that fixes the winding ``w``,
+    which a different ``c`` can shift by an even number.  The state
+    arrays have shape ``(m, 2)``; the loop stores them as transposed
+    views of component-major ``(2, m)`` arrays, so ``states.T[0]`` and
     ``states.T[1]`` are contiguous.  Construction re-validates
     continuity (no step flips the splitting ``energies -
     energies_other``, the tracking rule of :func:`_turns`), the
     left/right pairing rule of the gauge, the
-    normalization ``c @ u = 1`` in every gauge, and closure; violations
-    raise ``ValueError`` or :class:`NoClosure`.
+    normalization ``c @ u = 1`` for the recorded 2-vector ``reference``
+    in every gauge, and closure; violations raise ``ValueError`` or
+    :class:`NoClosure`.
     """
 
     model: BlochModel
@@ -309,7 +314,7 @@ class LoopTrajectory:
     states: np.ndarray
     left_states: np.ndarray
     closure_error: float
-    reference: np.ndarray | None = None
+    reference: np.ndarray
 
     def __post_init__(self) -> None:
         k = np.asarray(self.k_grid, dtype=float)
@@ -351,17 +356,11 @@ class LoopTrajectory:
         elif np.max(np.abs(pairing - 1.0)) > 1e-9:
             raise ValueError("stored left/right pairs are not "
                              "biorthonormalized")
-        c = self.reference
-        if self.gauge is Gauge.SMOOTH:
-            if c is None or np.shape(c) != (2,):
-                raise ValueError("smooth-gauge loops record their "
-                                 "reference spinor as a 2-vector")
-            c = np.asarray(c, dtype=complex)
-        elif c is not None:
-            raise ValueError("only smooth-gauge loops carry a reference "
-                             "spinor")
-        c_dot_u = _project(_spinor(self.gauge, c), u.T)
-        if np.max(np.abs(c_dot_u - 1.0)) > 1e-9:
+        if np.shape(self.reference) != (2,):
+            raise ValueError("loops record their reference spinor c as a "
+                             "2-vector")
+        c = np.asarray(self.reference, dtype=complex)
+        if np.max(np.abs(_project(c, u.T) - 1.0)) > 1e-9:
             raise ValueError("stored states are not normalized to "
                              "c @ u = 1")
         if not (np.isfinite(self.closure_error)
@@ -373,12 +372,9 @@ class LoopTrajectory:
                 f"(tolerance {CLOSURE_TOL:.0e})")
         for name, arr in (("k_grid", k), ("energies", e_t),
                           ("energies_other", e_o), ("states", u),
-                          ("left_states", l)):
+                          ("left_states", l), ("reference", c)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if c is not None:
-            c.setflags(write=False)
-            object.__setattr__(self, "reference", c)
 
     @property
     def grid_size(self) -> int:
@@ -388,12 +384,6 @@ class LoopTrajectory:
     @property
     def step(self) -> float:
         return self.period / self.k_grid.size
-
-
-def _spinor(gauge: Gauge, reference: np.ndarray | None) -> np.ndarray:
-    """The ``c`` with ``c @ u = 1``: the recorded ``reference`` in the
-    smooth gauge, the gauge's one fixed spinor in the others."""
-    return _GAUGES[gauge][0][0] if reference is None else reference
 
 
 def _zone_step(grid_size: int) -> float:
@@ -421,12 +411,12 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
     checks in the same order either way.  The detected period is the
     ``period`` field of the returned trajectory, and closure is checked
     on it.  ``grid_size`` is the number of samples per Brillouin zone
-    and must be even and at least 64.  The default gauge is the smooth
-    one, which picks its reference spinor over the tracked samples and
-    records it as the trajectory's ``reference``; it integrates loops
-    such as the Hermitian topological chain on which every component
-    gauge has a pole.  Closure compares the energy and the gauge-fixed
-    state ``u``.
+    and must be even and at least 64.  The trajectory records the
+    gauge's spinor ``c`` as its ``reference``.  The default gauge is the
+    smooth one, which picks ``c`` over the tracked samples; it
+    integrates loops such as the Hermitian topological chain on which
+    every component gauge has a pole.  Closure compares the energy and
+    the gauge-fixed state ``u``.
     Raises :class:`NoClosure` if the state does not return after two zones,
     :class:`AmbiguousTracking` on an unresolvable branch tie, and
     :class:`~nhwind.bloch.Defective` /
@@ -456,8 +446,7 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
                 period=zones * 2.0 * np.pi, k_grid=k_inc[:-1],
                 energies=e_t[:-1], energies_other=e_o[:-1],
                 states=u[:, :-1].T, left_states=l[:, :-1].T,
-                closure_error=closure,
-                reference=c if gauge is Gauge.SMOOTH else None)
+                closure_error=closure, reference=c)
     raise NoClosure(
         f"branch of {model.label} fails to close after two Brillouin "
         f"zones (final mismatch {closure:.3e})")
@@ -496,8 +485,7 @@ def _connection_samples(traj: LoopTrajectory, derivative: str) -> np.ndarray:
     u = traj.states.T
     if _check_derivative(derivative) == "analytic":
         du = _analytic_du(hk_derivative(traj.model, traj.k_grid), u,
-                          traj.energies - traj.energies_other,
-                          _spinor(traj.gauge, traj.reference))
+                          traj.energies - traj.energies_other, traj.reference)
     else:
         # Two samples wrapped around each end make the loop's centered
         # stencil the interior of the segment one.

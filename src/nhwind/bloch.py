@@ -134,8 +134,11 @@ class Gauge(Enum):
     topological chain), and raises :class:`GaugeSingular` only when
     every candidate vanishes somewhere.  A different ``c`` can shift a
     loop winding by an even integer, so only ``w mod 2`` is gauge
-    invariant; the candidate order is the convention that fixes ``w``
-    itself.
+    invariant.  :class:`EigenSystem2` and
+    :class:`~nhwind.berry.LoopTrajectory` record the ``c`` they were
+    pinned with as their ``reference`` in every gauge: that is the
+    convention that fixes ``w`` itself, and in ``SMOOTH`` the candidate
+    order picks it.
     """
 
     FIRST_COMPONENT_ONE = "first"
@@ -153,8 +156,7 @@ _GAUGES = {
 }
 
 
-def _reference_spinor(unit: np.ndarray,
-                      candidates: np.ndarray = REFERENCE_SPINORS,
+def _reference_spinor(unit: np.ndarray, candidates: np.ndarray,
                       ) -> np.ndarray:
     """Reference spinor for a set of unit right vectors.
 
@@ -434,9 +436,10 @@ class EigenSystem2:
     are the rows of the inverse eigenvector matrix, so ``l @ u = 1`` on
     the same branch and ``l @ u = 0`` across branches.  In the
     transpose gauge ``l`` is the transpose of ``u`` verbatim and carries
-    no normalization.  ``reference`` is the smooth gauge's spinor ``c``
-    (``c @ u = 1`` on both bands) and ``None`` in the other gauges,
-    whose spinor is fixed.
+    no normalization.  ``reference`` is the gauge's spinor ``c``, with
+    ``c @ u = 1`` on both bands: ``e1`` in ``first`` and ``transpose``,
+    ``e2`` in ``second``, the candidate picked for this matrix in
+    ``smooth``.
     """
 
     e_plus: complex
@@ -446,13 +449,11 @@ class EigenSystem2:
     l_plus: np.ndarray
     l_minus: np.ndarray
     gauge: Gauge
-    reference: np.ndarray | None = None
+    reference: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("u_plus", "u_minus", "l_plus", "l_minus"):
+        for name in ("u_plus", "u_minus", "l_plus", "l_minus", "reference"):
             object.__setattr__(self, name, _locked(getattr(self, name)))
-        if self.reference is not None:
-            object.__setattr__(self, "reference", _locked(self.reference))
 
     def band(self, band: int) -> tuple[complex, np.ndarray, np.ndarray]:
         """(energy, right vector, left vector) for band +1 or -1."""
@@ -472,9 +473,10 @@ def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem
     Degenerate-but-diagonalizable points (scalar matrices) are fine;
     coinciding eigenvectors raise :class:`Defective` before any gauge
     normalization is attempted, and a vanishing pinned projection
-    ``c . u`` or transpose pairing raises :class:`GaugeSingular`.  The gauge's spinor ``c`` must hold on both
-    eigenvectors, so the smooth gauge picks it for this matrix alone,
-    over both.  Non-finite entries raise ``ValueError``.
+    ``c . u`` or transpose pairing raises :class:`GaugeSingular`.  The
+    gauge's spinor ``c`` must hold on both eigenvectors, so the smooth
+    gauge picks it for this matrix alone, over both; the result records
+    it as ``reference``.  Non-finite entries raise ``ValueError``.
     """
     gauge = Gauge(gauge)
     h = np.asarray(h, dtype=complex)
@@ -500,8 +502,7 @@ def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem
     ratio = float(_parallelism(unit[:, 0], unit[:, 1]))
     if ratio < DEFECTIVE_TOL:
         raise Defective(f"eigenvectors are parallel (ratio {ratio:.2e})")
-    u, l, spinor = _fix_gauge(unit, unit[:, ::-1], gauge)
+    u, l, reference = _fix_gauge(unit, unit[:, ::-1], gauge)
     (u_plus, u_minus), (l_plus, l_minus) = u.T, l.T
-    reference = spinor if gauge is Gauge.SMOOTH else None
     return EigenSystem2(complex(e_plus), complex(e_minus),
                         u_plus, u_minus, l_plus, l_minus, gauge, reference)

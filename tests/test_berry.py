@@ -11,7 +11,7 @@ from nhwind import (AmbiguousTracking, Band, BlochModel, Defective, Gauge,
                     winding_lee, winding_number, winding_report)
 from nhwind import berry
 from nhwind.berry import _track_branches, _tracked_segment
-from nhwind.bloch import REFERENCE_SPINORS, _reference_spinor
+from nhwind.bloch import REFERENCE_SPINORS, EigenSystem2, _reference_spinor
 
 # Frozen per-band windings of the lee defaults at grid 8192.
 W_PLUS = 0.163074835164099
@@ -160,6 +160,7 @@ def test_eig2_energies_match_tracked_loop_bit_for_bit():
                 _, u, l = system.band(band)
                 assert np.array_equal(u, traj.states[j]), tag
                 assert np.array_equal(l, traj.left_states[j]), tag
+                assert np.array_equal(system.reference, traj.reference), tag
 
 
 def test_loop_period_braided_needs_two_zones(lee_default):
@@ -553,8 +554,9 @@ def test_reference_spinor_refuses_when_every_candidate_vanishes():
     path /= np.linalg.norm(path, axis=-1, keepdims=True)
     with pytest.raises(GaugeSingular,
                        match="every candidate reference spinor vanishes"):
-        _reference_spinor(path)
-    assert np.array_equal(_reference_spinor(path[:5]), REFERENCE_SPINORS[5])
+        _reference_spinor(path, REFERENCE_SPINORS)
+    assert np.array_equal(_reference_spinor(path[:5], REFERENCE_SPINORS),
+                          REFERENCE_SPINORS[5])
 
 
 def test_demo_transpose_pairing_fails_on_loop(demo_model):
@@ -651,14 +653,26 @@ def test_trajectory_component_gauge_pairing_check(lee_default):
     with pytest.raises(ValueError):
         dataclasses.replace(traj, left_states=np.array(traj.left_states)
                             * 1.001)
-    assert traj.reference is None
+    # A spinor with c @ u != 1 on the stored states is refused.
     with pytest.raises(ValueError):
-        dataclasses.replace(traj, reference=REFERENCE_SPINORS[0])
-    # Doubled states with matching left vectors keep the pairing rule
-    # but break c @ u = 1 for the gauge's fixed spinor.
-    for gauge in (Gauge.FIRST_COMPONENT_ONE, Gauge.SECOND_COMPONENT_ONE,
-                  Gauge.TRANSPOSE):
+        dataclasses.replace(traj, reference=REFERENCE_SPINORS[1])
+    with pytest.raises(ValueError):
+        dataclasses.replace(traj, reference=None)
+    # reference has no default in either record.
+    fields = {f.name: getattr(traj, f.name)
+              for f in dataclasses.fields(traj) if f.name != "reference"}
+    with pytest.raises(TypeError):
+        LoopTrajectory(**fields)
+    system = eig2(hk(lee_default, 0.3))
+    with pytest.raises(TypeError):
+        EigenSystem2(*dataclasses.astuple(system)[:-1])
+    # Each component gauge records its own pinned spinor.  Doubled
+    # states with matching left vectors keep the pairing rule but break
+    # c @ u = 1 for that spinor.
+    for gauge, row in ((Gauge.FIRST_COMPONENT_ONE, 0),
+                       (Gauge.SECOND_COMPONENT_ONE, 1), (Gauge.TRANSPOSE, 0)):
         traj = loop_period(lee_default, 512, gauge)
+        assert np.array_equal(traj.reference, REFERENCE_SPINORS[row]), gauge
         u = 2.0 * np.array(traj.states)
         left = (u if gauge is Gauge.TRANSPOSE
                 else np.array(traj.left_states) / 2.0)
