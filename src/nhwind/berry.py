@@ -88,8 +88,9 @@ from enum import IntEnum
 import numpy as np
 
 from .bloch import (_GAUGES, GAUGE_TOL, BlochModel, Defective, Gauge,
-                    GaugeSingular, _dot, _fix_gauge, _norm, _parallelism,
-                    _project, _roots, _unit_vectors, hk, hk_derivative)
+                    GaugeSingular, _adopt, _dot, _fix_gauge, _norm,
+                    _parallelism, _project, _roots, _unit_vectors, hk,
+                    hk_derivative)
 
 __all__ = [
     "AmbiguousTracking",
@@ -168,8 +169,8 @@ def _turns(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return turn < -margin, abs(turn) <= margin
 
 
-def _track_branches(s: np.ndarray, band: int, r1: np.ndarray | None = None,
-                    r2: np.ndarray | None = None) -> np.ndarray:
+def _track_branches(s: np.ndarray, band: int, r1: np.ndarray,
+                    r2: np.ndarray) -> np.ndarray:
     """Follow one branch through the samples by continuity.
 
     ``s`` holds the half splitting ``sqrt(D)`` of the two closed-form
@@ -181,17 +182,13 @@ def _track_branches(s: np.ndarray, band: int, r1: np.ndarray | None = None,
     (component-major): the adjugate row of the previous *other*-branch
     vector annihilates the root a crossover would land on and is
     maximal on the true continuation, so the branch goes to the root it
-    overlaps more.  Missing vectors or an overlap tie raise
-    :class:`AmbiguousTracking`.
+    overlaps more.  An overlap tie raises :class:`AmbiguousTracking`.
 
     Returns ``on2``: per sample, whether the branch sits on ``e2``.
     """
     start_on2 = Band(band) is Band.MINUS
     flip, tie = _turns(s)
     for j in np.flatnonzero(tie) + 1:
-        if r1 is None:
-            raise AmbiguousTracking(
-                f"splitting tie at sample {j} with no overlap data")
         on2 = start_on2 != bool(np.count_nonzero(flip[:j - 1]) % 2)
         prev = (r1 if on2 else r2)[:, j - 1]
         l_dir = np.array([prev[1], -prev[0]])
@@ -301,7 +298,11 @@ class LoopTrajectory:
     left/right pairing rule of the gauge, the
     normalization ``c @ u = 1`` for the recorded 2-vector ``reference``
     in every gauge, and closure; violations raise ``ValueError`` or
-    :class:`NoClosure`.
+    :class:`NoClosure`.  A record of sampled arrays adopts the arrays it
+    is given: a valid construction stores them without a copy where the
+    dtype already matches (``float`` for ``k_grid``, ``complex`` for the
+    rest) and makes them read-only, and a refused one leaves them
+    writeable.
     """
 
     model: BlochModel
@@ -370,11 +371,9 @@ class LoopTrajectory:
             raise NoClosure(
                 f"loop endpoint misses its start by {self.closure_error:.3e} "
                 f"(tolerance {CLOSURE_TOL:.0e})")
-        for name, arr in (("k_grid", k), ("energies", e_t),
-                          ("energies_other", e_o), ("states", u),
-                          ("left_states", l), ("reference", c)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _adopt(self, "k_grid", dtype=float)
+        _adopt(self, "energies", "energies_other", "states", "left_states",
+               "reference", dtype=complex)
 
     @property
     def grid_size(self) -> int:

@@ -323,14 +323,48 @@ def _fix_gauge(unit: np.ndarray, unit_other: np.ndarray, gauge: Gauge,
 
 
 def _locked(a: np.ndarray) -> np.ndarray:
+    """A read-only complex copy of ``a``.
+
+    Records of 2x2 blocks and 2-vectors (:class:`BlochModel`,
+    :class:`EigenSystem2`) copy what they are given: the copy is a few
+    bytes, and the caller keeps a writeable array.
+    """
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
     return out
 
 
+def _adopt(record, *names: str, dtype=None) -> None:
+    """Make the named array fields of the frozen ``record`` read-only
+    in place.
+
+    Records of sampled arrays (:class:`~nhwind.berry.LoopTrajectory`,
+    and :class:`~nhwind.lattice.ChainSpectrum`,
+    :class:`~nhwind.lattice.LocalizationProfile` and
+    :class:`~nhwind.lattice.ScanRow`) adopt the arrays they are given:
+    each field becomes ``np.asarray(value, dtype)``, which is the
+    caller's array itself when its dtype already matches, and that
+    array is locked.  Copying them instead would allocate every loop's
+    trajectory twice.  A ``None`` field stays ``None``.  Records call
+    this after validation, so a refused construction leaves the
+    caller's arrays writeable.
+    """
+    for name in names:
+        value = getattr(record, name)
+        if value is not None:
+            value = np.asarray(value, dtype=dtype)
+            value.setflags(write=False)
+            object.__setattr__(record, name, value)
+
+
 @dataclass(frozen=True)
 class BlochModel:
-    """Immutable two-band model given by its three hopping blocks."""
+    """Immutable two-band model given by its three hopping blocks.
+
+    Like every record of 2x2 blocks and 2-vectors, it stores read-only
+    complex copies, so the caller's arrays stay writeable and a later
+    write to them leaves the model unchanged.
+    """
 
     hop_minus: np.ndarray
     hop_zero: np.ndarray
@@ -439,7 +473,8 @@ class EigenSystem2:
     no normalization.  ``reference`` is the gauge's spinor ``c``, with
     ``c @ u = 1`` on both bands: ``e1`` in ``first`` and ``transpose``,
     ``e2`` in ``second``, the candidate picked for this matrix in
-    ``smooth``.
+    ``smooth``.  The vectors are stored as read-only copies, like the
+    blocks of :class:`BlochModel`.
     """
 
     e_plus: complex

@@ -16,7 +16,9 @@ coarse ``--grid``, ``--n`` below 1, a malformed or non-positive
 library re-checks its own inputs for library callers; the handlers
 read the parsed namespace directly.
 
-Exit codes:
+Exit codes come from ``_EXIT_CODES``, which maps each refusal class to
+its code in order; the first class the error is an instance of wins.
+An unwritable ``--out`` path exits 2 with its own message.
     0  success
     2  usage or validation error
     3  gauge singularity (including unresolvable connection poles)
@@ -46,6 +48,12 @@ __all__ = ["main"]
 
 # Per-zone normalization constants reductio falls back to per model.
 REDUCTIO_DEFAULT_NORMALIZATION = {"demo": 0.5, "lee": 2.0}
+# Exit code per refusal class; the first class that matches wins.
+# LinAlgError subclasses ValueError, so solver failures must come before
+# the generic usage code.
+_EXIT_CODES = {GaugeSingular: 3, AmbiguousTracking: 4, NoClosure: 5,
+               Defective: 6, MatchFailure: 6, np.linalg.LinAlgError: 6,
+               ValueError: 2}
 
 
 def _check(args: argparse.Namespace) -> None:
@@ -389,23 +397,10 @@ def main(argv: list[str] | None = None) -> int:
         render = _render_csv if args.fmt == "csv" else _render_json
         _emit(render(meta, columns, rows), args.out)
         return 0
-    except GaugeSingular as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except AmbiguousTracking as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NoClosure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    # LinAlgError subclasses ValueError, so solver failures must be
-    # mapped before the generic usage branch.
-    except (Defective, MatchFailure, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in _EXIT_CODES.items()
+                    if isinstance(exc, cls))
     # Only the --out write touches the file system.
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc.strerror or exc}",

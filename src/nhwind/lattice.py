@@ -48,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .berry import AmbiguousTracking, _check_diagonalizable
-from .bloch import BlochModel, Defective, _roots, hk
+from .bloch import BlochModel, Defective, _adopt, _roots, hk
 
 __all__ = [
     "Boundary",
@@ -288,7 +288,10 @@ class ChainSpectrum:
     every eigenvalue's condition number passes the gate of
     :func:`left_vectors`.
     Eigenvalues are sorted by (Re, Im); construction re-validates the
-    ordering and the participation-ratio range.
+    ordering and the participation-ratio range.  Like every record of
+    sampled arrays, a valid construction adopts the arrays it is given
+    (no copy) and makes them read-only; a refused one leaves them
+    writeable.
     """
 
     model: BlochModel
@@ -314,14 +317,7 @@ class ChainSpectrum:
         if (np.any(iprs < 1.0 / (2 * self.n_cells) - 1e-12)
                 or np.any(iprs > 1.0 + 1e-12)):
             raise ValueError("participation ratios out of [1/size, 1]")
-        for name in ("eigenvalues", "right_vectors", "left_vectors",
-                     "iprs"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _adopt(self, "eigenvalues", "right_vectors", "left_vectors", "iprs")
 
     @property
     def size(self) -> int:
@@ -427,7 +423,8 @@ class LocalizationProfile:
 
     ``probabilities[j, i]`` is ``|psi_j|^2`` of state ``i`` at site
     ``j`` (columns are states, like the eigenvector matrices); states
-    are unit vectors, so each column sums to 1.
+    are unit vectors, so each column sums to 1.  The record adopts its
+    arrays and makes them read-only, like :class:`ChainSpectrum`.
     """
 
     side: str
@@ -437,10 +434,7 @@ class LocalizationProfile:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        for name in ("eigenvalues", "probabilities", "iprs"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _adopt(self, "eigenvalues", "probabilities", "iprs")
 
     @property
     def median_ipr(self) -> float:
@@ -481,7 +475,9 @@ class ScanRow:
 
     ``im_fraction`` is the fraction of eigenvalues with
     ``|Im| > COMPLEX_IM_THRESHOLD``, the coarse signature of the
-    spectrum leaving the real axis as the chain grows.
+    spectrum leaving the real axis as the chain grows.  The record
+    adopts ``eigenvalues`` and makes it read-only, like
+    :class:`ChainSpectrum`.
     """
 
     n_cells: int
@@ -493,9 +489,7 @@ class ScanRow:
     median_ipr: float
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.eigenvalues)
-        arr.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", arr)
+        _adopt(self, "eigenvalues")
 
 
 def spectrum_scan(model: BlochModel, n_list,

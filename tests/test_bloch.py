@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import multiset_distance
-from nhwind import (BlochModel, Defective, Gauge, GaugeSingular, demo, eig2,
-                    hk, hk_derivative, lee)
+from nhwind import (BlochModel, Boundary, Defective, Gauge, GaugeSingular,
+                    chain_spectrum, demo, eig2, hk, hk_derivative, lee,
+                    localization_profile, loop_period, spectrum_scan)
+from nhwind.bloch import EigenSystem2
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -320,3 +322,47 @@ def test_band_accessor_rejects_other_labels():
     sys2 = eig2(SIGMA_X)
     with pytest.raises(ValueError):
         sys2.band(0)
+
+
+def test_sampled_records_adopt_their_arrays_and_block_records_copy():
+    traj = loop_period(lee(), 256)
+    spectrum = chain_spectrum(lee(), 4, Boundary.PERIODIC, with_left=True)
+    profile = localization_profile(spectrum)
+    row = spectrum_scan(lee(), [4])[0]
+    # A record of sampled arrays stores the very array it is given and
+    # makes it read-only.
+    for record, name in ((traj, "k_grid"), (traj, "states"),
+                         (spectrum, "eigenvalues"), (spectrum, "left_vectors"),
+                         (spectrum, "iprs"), (profile, "probabilities"),
+                         (profile, "iprs"), (row, "eigenvalues")):
+        given = np.array(getattr(record, name))
+        built = dataclasses.replace(record, **{name: given})
+        assert getattr(built, name) is given, name
+        assert not given.flags.writeable, name
+    unpaired = dataclasses.replace(spectrum, left_vectors=None)
+    assert unpaired.left_vectors is None
+    # A refused construction leaves the given array writeable.
+    unsorted = np.array(spectrum.eigenvalues[::-1])
+    with pytest.raises(ValueError, match="sorted"):
+        dataclasses.replace(spectrum, eigenvalues=unsorted)
+    assert unsorted.flags.writeable
+    jumped = np.array(traj.energies)
+    jumped[5:] = traj.energies_other[5:]
+    with pytest.raises(ValueError, match="continuously tracked"):
+        dataclasses.replace(traj, energies=jumped)
+    assert jumped.flags.writeable
+    # Records of 2x2 blocks and 2-vectors keep copies: the given array
+    # stays writeable, and writing to it leaves the record as it was.
+    block = np.array(SIGMA_X)
+    model = BlochModel(block, block, block)
+    assert block.flags.writeable
+    block[0, 0] = 5.0
+    assert np.array_equal(model.hop_zero, SIGMA_X)
+    es = eig2(hk(lee(), 0.3))
+    u, c = np.array(es.u_plus), np.array(es.reference)
+    built = EigenSystem2(es.e_plus, es.e_minus, u, es.u_minus, es.l_plus,
+                         es.l_minus, es.gauge, c)
+    assert u.flags.writeable and c.flags.writeable
+    u[0] = c[0] = 7.0
+    assert np.array_equal(built.u_plus, es.u_plus)
+    assert np.array_equal(built.reference, es.reference)
