@@ -87,9 +87,9 @@ from enum import IntEnum
 
 import numpy as np
 
-from .bloch import (_GAUGES, GAUGE_TOL, BlochModel, Defective, Gauge,
-                    GaugeSingular, _adopt, _dot, _fix_gauge, _norm,
-                    _parallelism, _project, _roots, _unit_vectors, hk,
+from .bloch import (_GAUGES, DEFECTIVE_TOL, GAUGE_TOL, BlochModel,
+                    Defective, Gauge, GaugeSingular, _adopt, _dot,
+                    _eigenvectors, _fix_gauge, _project, _roots, hk,
                     hk_derivative)
 
 __all__ = [
@@ -120,11 +120,6 @@ INTEGER_TOL = 1e-6
 # A single sample contributing more than this to the connection integral
 # means an unresolvable pole sits between grid points.
 POLE_TOL = 0.5
-# An exceptional point sitting exactly on a grid sample is smeared by
-# float rounding into a splitting of order sqrt(eps) ~ 1.5e-8, so any
-# eigenvector pair closer than ~10x that floor is indistinguishable
-# from a genuinely defective sample.
-PATH_DEFECTIVE_TOL = 1e-7
 
 
 class Band(IntEnum):
@@ -200,38 +195,6 @@ def _track_branches(s: np.ndarray, band: int, r1: np.ndarray,
     return np.logical_xor.accumulate(np.r_[start_on2, flip])
 
 
-def _check_diagonalizable(h: np.ndarray, e1: np.ndarray, e2: np.ndarray,
-                          s: np.ndarray, k: np.ndarray,
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Raise :class:`Defective` if branches are parallel at any sample.
-
-    The parallelism ratio is symmetric in the two branches, so the check
-    runs on the raw (untracked) root pair and catches an exceptional
-    point before branch tracking can trip over its degenerate tie.  A
-    scalar sample, whose branches carry no eigenvector identity, raises
-    :class:`AmbiguousTracking`.  ``e1``, ``e2`` and ``s`` are the
-    three arrays of :func:`~nhwind.bloch._roots`.  Returns the unit
-    right vectors of ``e1`` and ``e2``, component-major.
-    """
-    scale = _norm(h.reshape(-1, 4).T)  # Frobenius norm of each sample
-    units = []
-    for energy, root in ((e1, s), (e2, -s)):
-        unit, norm = _unit_vectors(h, root)
-        if np.any(norm <= 1e-14 * (scale + abs(energy))):
-            raise AmbiguousTracking(
-                "scalar Hamiltonian sample on the loop: branches carry no "
-                "eigenvector identity to track")
-        units.append(unit)
-    ratio = _parallelism(*units)
-    bad = ratio < PATH_DEFECTIVE_TOL
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise Defective(
-            f"non-diagonalizable point near k = {float(k[j]):.6f} "
-            f"(singular-value ratio {float(ratio[j]):.2e})")
-    return units[0], units[1]
-
-
 def _braids(s: np.ndarray) -> bool:
     """Whether the branches swap over the zone sampled inclusively by
     the half splitting ``s``: ``s``, continued by :func:`_turns` over
@@ -252,9 +215,12 @@ def _tracked_segment(model: BlochModel, k_inc: np.ndarray, gauge: Gauge,
 
     Shared front end of the loop and segment integrators: takes the
     samples ``(h, e1, e2, s)`` on ``k_inc``, the Hamiltonian and its
-    :func:`~nhwind.bloch._roots` (evaluated here unless given), runs the
-    per-sample health checks, tracks the branch with the overlap
-    tie-break and fixes the gauge on the tracked branch.  Returns
+    :func:`~nhwind.bloch._roots` (evaluated here unless given), applies
+    the closed form's rule of :func:`~nhwind.bloch._eigenvectors` (a
+    scalar sample raises :class:`AmbiguousTracking`, an exceptional
+    point :class:`~nhwind.bloch.Defective` naming its ``k``), tracks the
+    branch with the overlap tie-break and fixes the gauge on the
+    tracked branch.  Returns
     ``(tracked, other, u, l, c)``: the energies of both branches, the
     gauge-fixed right and left vectors of the tracked one (see
     :func:`nhwind.bloch._fix_gauge`), component-major, and the spinor
@@ -265,7 +231,19 @@ def _tracked_segment(model: BlochModel, k_inc: np.ndarray, gauge: Gauge,
         h = hk(model, k_inc)
         samples = (h, *_roots(h))
     h, e1, e2, s = samples
-    r1, r2 = _check_diagonalizable(h, e1, e2, s, k_inc)
+    r1, r2, ratio = _eigenvectors(h, e1, e2, s)
+    # Both checks run on the raw (untracked) root pair, symmetric in the
+    # branches, before tracking can trip over a degenerate tie.
+    if np.any(np.isnan(ratio)):
+        raise AmbiguousTracking(
+            "scalar Hamiltonian sample on the loop: branches carry no "
+            "eigenvector identity to track")
+    bad = ratio < DEFECTIVE_TOL
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise Defective(
+            f"non-diagonalizable point near k = {float(k_inc[j]):.6f} "
+            f"(singular-value ratio {float(ratio[j]):.2e})")
     try:
         on2 = _track_branches(s, start_band, r1, r2)
     except AmbiguousTracking as exc:

@@ -16,9 +16,13 @@ unit eigenvector (the longer of the row null vectors
 parallelism ratio that detects an exceptional point.  Neither the roots
 nor the vectors subtract the mean energy ``m`` back out, so a splitting
 far below ``|m|`` keeps its digits in both.
-Each is written once, vectorized over any leading shape; :func:`eig2`
-applies them to a single matrix and :mod:`nhwind.berry` to a whole
-sampled loop.
+Each is written once, vectorized over any leading shape.  One kernel,
+:func:`_eigenvectors`, decides which samples the closed form serves: a
+scalar sample has no eigenvector identity, and one whose eigenvectors
+are parallel to within ``DEFECTIVE_TOL`` is an exceptional point.
+:func:`eig2` applies that rule to a single matrix, :mod:`nhwind.berry`
+to a whole sampled loop and :mod:`nhwind.lattice` to the momenta of a
+periodic chain.
 
 The kernels work on contiguous entry planes.  :func:`hk` and
 :func:`hk_derivative` fill a ``(2, 2) + k.shape`` array entry by entry
@@ -76,8 +80,12 @@ REFERENCE_SPINORS.setflags(write=False)
 # (1, i) and (1, -i) on real loops) split by an ulp in float64.
 REFERENCE_TIE_TOL = 1e-9
 # Threshold on the singular-value ratio of the eigenvector matrix below
-# which the two branches are declared parallel (non-diagonalizable point).
-DEFECTIVE_TOL = 1e-10
+# which the two branches are declared parallel (exceptional point).  An
+# exceptional point sitting exactly on a sample is smeared by float
+# rounding into a splitting of order sqrt(eps) ~ 1.5e-8, so any
+# eigenvector pair closer than ~10x that floor is indistinguishable
+# from a genuinely defective sample.
+DEFECTIVE_TOL = 1e-7
 
 
 class GaugeSingular(RuntimeError):
@@ -241,9 +249,10 @@ def _unit_vectors(h: np.ndarray, root: np.ndarray,
     ``|m|`` keeps its digits.  At an eigenvalue the two rows are
     parallel, and at least one is nonzero unless ``h`` is scalar.  This
     is the one place an eigenvector is formed from ``h``; every gauge
-    rescales the vector returned here.  A zero norm (scalar ``h``)
-    leaves a NaN vector behind; callers refuse those samples by the
-    norm.
+    rescales the vector returned here.  A zero norm (scalar ``h``, or
+    entries so small that their squares underflow) leaves a NaN or
+    infinite vector behind, silently; :func:`_eigenvectors` flags
+    those samples by the norm.
     """
     half_gap = 0.5 * (h[..., 0, 0] - h[..., 1, 1])
     r1 = np.stack([h[..., 0, 1], root - half_gap])
@@ -252,7 +261,7 @@ def _unit_vectors(h: np.ndarray, root: np.ndarray,
     n2 = _norm(r2)
     use1 = n1 >= n2
     norm = np.where(use1, n1, n2)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         unit = np.where(use1, r1, r2) / norm
     return unit, norm
 
@@ -265,6 +274,35 @@ def _parallelism(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     det = u[0] * v[1] - u[1] * v[0]
     return abs(det) / (1.0 + abs(_dot(u.conj(), v)))
+
+
+def _eigenvectors(h: np.ndarray, e1: np.ndarray, e2: np.ndarray,
+                  s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which samples the closed form serves, and its eigenvectors there.
+
+    ``e1``, ``e2`` and ``s`` are the three arrays of :func:`_roots`.
+    Returns ``(r1, r2, ratio)``: the unit right vectors of ``e1`` and
+    ``e2`` (component-major, from :func:`_unit_vectors`) and their
+    :func:`_parallelism` ratio per sample.  The ratio is NaN on a scalar
+    sample, where a root's longer null row is at most
+    ``1e-14 (|h|_F + |E|)``: its branches carry no eigenvector
+    identity.  Below ``DEFECTIVE_TOL`` the sample is an exceptional
+    point.  This is the one rule: :func:`eig2`, the loops of
+    :mod:`nhwind.berry` and the periodic chains of
+    :mod:`nhwind.lattice` all apply it.  A sample whose rows' squared
+    entries underflow to 0 (entries below about 1e-154) counts as
+    scalar too, so the verdict there is a float64 limit.  No finite
+    sample raises a RuntimeWarning here unless those squares overflow
+    (entries above about 1e154), where :func:`_roots` warns first.
+    """
+    scale = _norm(h.reshape(-1, 4).T)  # Frobenius norm of each sample
+    r1, n1 = _unit_vectors(h, s)
+    r2, n2 = _unit_vectors(h, -s)
+    scalar = ((n1 <= 1e-14 * (scale + abs(e1)))
+              | (n2 <= 1e-14 * (scale + abs(e2))))
+    with np.errstate(invalid="ignore"):
+        ratio = _parallelism(r1, r2)
+    return r1, r2, np.where(scalar, np.nan, ratio)
 
 
 def _pin(unit: np.ndarray, gauge: Gauge) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +346,7 @@ def _fix_gauge(unit: np.ndarray, unit_other: np.ndarray, gauge: Gauge,
                 f"gauge {gauge.value!r}: self-orthogonal transpose "
                 f"pairing u^T u = 0 at {int(np.count_nonzero(bad))} "
                 f"state(s)")
-        return u, u.copy(), c
+        return u, u, c
     # o's scale cancels in l, but pinning it applies the gauge to the
     # other branch too: a component gauge refuses where its component
     # vanishes there, and the smooth gauge picks o's spinor over the
@@ -420,11 +458,12 @@ def demo() -> BlochModel:
 def _entry_planes(shape: tuple, terms) -> np.ndarray:
     """``sum_t phase_t * block_t`` over samples of the given ``shape``.
 
-    ``terms`` pairs 1-d per-sample phases with 2x2 blocks.  Each entry
-    ``(i, j)`` is filled as one contiguous plane over the samples, the
-    sum running left to right as a sum of ``np.multiply.outer``
-    products would, and the ``(2, 2) + shape`` array is returned with
-    the matrix axes moved last.
+    ``terms`` pairs 1-d per-sample phases with 2x2 blocks; a phase
+    after the first may also be a scalar, the same at every sample.
+    Each entry ``(i, j)`` is filled as one contiguous plane over the
+    samples, the sum running left to right as a sum of
+    ``np.multiply.outer`` products would, and the ``(2, 2) + shape``
+    array is returned with the matrix axes moved last.
     """
     (first, block), *rest = terms
     out = np.empty((2, 2, first.size), dtype=complex)
@@ -446,10 +485,11 @@ def hk(model: BlochModel, k) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     mm, m0, mp = model.blocks()
     phase = np.exp(1j * k.ravel())
-    # The constant block is scaled by ones, as its outer product was,
-    # so the signs of zero entries come out as before.
-    return _entry_planes(k.shape, [(np.conj(phase), mm),
-                                   (np.ones(k.size), m0), (phase, mp)])
+    # The constant block is multiplied by 1.0, not added as it is: the
+    # complex product keeps the signs of zero entries its outer product
+    # with ones gave.
+    return _entry_planes(k.shape, [(np.conj(phase), mm), (1.0, m0),
+                                   (phase, mp)])
 
 
 def hk_derivative(model: BlochModel, k) -> np.ndarray:
@@ -504,14 +544,21 @@ def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem
 
     Energies are ``m +- sqrt(D)`` with ``m = tr(h)/2`` and the
     cancellation-free discriminant ``D = ((a - d)/2)^2 + b c`` (principal
-    root), bit for bit as a sampled loop gets them.
-    Degenerate-but-diagonalizable points (scalar matrices) are fine;
-    coinciding eigenvectors raise :class:`Defective` before any gauge
-    normalization is attempted, and a vanishing pinned projection
-    ``c . u`` or transpose pairing raises :class:`GaugeSingular`.  The
-    gauge's spinor ``c`` must hold on both eigenvectors, so the smooth
-    gauge picks it for this matrix alone, over both; the result records
-    it as ``reference``.  Non-finite entries raise ``ValueError``.
+    root), bit for bit as a sampled loop gets them.  Which matrices the
+    closed form serves is the rule of :func:`_eigenvectors`, the one
+    that loops and periodic chains apply too.  A scalar matrix
+    (degenerate but diagonalizable) gets sigma_x's unit eigenbasis,
+    ``(1, +-1) / sqrt 2``; eigenvectors parallel to within
+    ``DEFECTIVE_TOL`` (an exceptional point, on a sampling grid too)
+    raise :class:`Defective` before any gauge normalization is
+    attempted.  Both tests are relative, so the verdict does not change
+    when ``h`` is scaled, down to entries whose squares underflow
+    (below about 1e-154), which count as scalar.  A vanishing pinned
+    projection ``c . u`` or transpose pairing raises
+    :class:`GaugeSingular`.  The gauge's spinor ``c`` must hold on both
+    eigenvectors, so the smooth gauge picks it for this matrix alone,
+    over both; the result records it as ``reference``.  Non-finite
+    entries raise ``ValueError``.
     """
     gauge = Gauge(gauge)
     h = np.asarray(h, dtype=complex)
@@ -519,25 +566,21 @@ def eig2(h: np.ndarray, gauge: Gauge = Gauge.FIRST_COMPONENT_ONE) -> EigenSystem
         raise ValueError(f"h must be 2x2, got {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("h contains non-finite entries")
-    # The roots come from a one-sample batch: numpy's scalar complex
-    # product can differ in the last bit from the array product a
-    # sampled loop uses.
-    (e_plus,), (e_minus,), root = _roots(h[None])
-    m = 0.5 * (h[0, 0] + h[1, 1])
-    if np.linalg.norm(h - m * np.eye(2)) <= 1e-14 * max(np.linalg.norm(h),
-                                                       1.0):
+    # A one-sample batch: numpy's scalar complex product can differ in
+    # the last bit from the array product a sampled loop uses.
+    e1, e2, s = _roots(h[None])
+    r1, r2, (ratio,) = _eigenvectors(h[None], e1, e2, s)
+    if np.isnan(ratio):
         # Scalar matrix: degenerate but diagonalizable.  Any basis is an
         # eigenbasis; sigma_x's unit one, (1, 1) and (1, -1) over sqrt 2,
         # satisfies every gauge here, including the transpose pairing.
-        unit = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-        unit /= np.sqrt(2.0)
-    else:
-        unit, _ = _unit_vectors(np.stack([h, h]), np.r_[root, -root])
-    # Defectiveness first: the ratio is gauge independent.
-    ratio = float(_parallelism(unit[:, 0], unit[:, 1]))
-    if ratio < DEFECTIVE_TOL:
+        unit = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+    elif ratio < DEFECTIVE_TOL:
+        # Defectiveness first: the ratio is gauge independent.
         raise Defective(f"eigenvectors are parallel (ratio {ratio:.2e})")
+    else:
+        unit = np.concatenate([r1, r2], axis=1)
     u, l, reference = _fix_gauge(unit, unit[:, ::-1], gauge)
     (u_plus, u_minus), (l_plus, l_minus) = u.T, l.T
-    return EigenSystem2(complex(e_plus), complex(e_minus),
+    return EigenSystem2(complex(e1[0]), complex(e2[0]),
                         u_plus, u_minus, l_plus, l_minus, gauge, reference)

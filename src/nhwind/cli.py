@@ -254,12 +254,8 @@ def _render_csv(meta, columns, rows) -> str:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return _fmt_float(value)
-    if isinstance(value, complex):
-        return f"{_fmt_float(value.real)}{value.imag:+.17g}j"
     return str(value)
 
 

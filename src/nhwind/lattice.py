@@ -17,9 +17,10 @@ the Bloch wave ``e^{i k c} u`` (cell ``c``) to ``e^{i k c} h(k) u``, so
 its spectrum is the closed-form pair of roots of each ``h(k_j)`` from
 :mod:`nhwind.bloch`, and its eigenvectors are the unit Bloch waves
 ``e^{i k c} / sqrt(n) (x) u(k)``.  A chain with a momentum sample that
-the loop would refuse (a scalar ``h(k)``, or an exceptional point on
-the grid) falls back to the dense solve, Hermitian or general.  That
-choice is made in one place, :func:`_solve`, which
+the closed form does not serve (a scalar ``h(k)``, or an exceptional
+point on the grid, by the one rule that :func:`~nhwind.bloch.eig2` and
+the loops apply too) falls back to the dense solve, Hermitian or
+general.  That choice is made in one place, :func:`_solve`, which
 :func:`chain_spectrum` and the left :func:`localization_profile` share.
 
 Left eigenvectors of strongly non-normal matrices are a conditioning
@@ -47,8 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from .berry import AmbiguousTracking, _check_diagonalizable
-from .bloch import BlochModel, Defective, _adopt, _roots, hk
+from .bloch import DEFECTIVE_TOL, BlochModel, _adopt, _eigenvectors, _roots, hk
 
 __all__ = [
     "Boundary",
@@ -339,8 +339,9 @@ def _bloch_waves(model: BlochModel, n_cells: int, with_left: bool = False):
     Returns ``(values, right, left, blocks)`` in the order of
     :func:`eig_dense` (``left`` is ``None`` without ``with_left``;
     ``blocks`` stacks the ``[u_1(k), u_2(k)]``), or ``None`` where the
-    dense path must decide: a sample the loop refuses (scalar ``h(k)``,
-    or eigenvectors parallel to within ``PATH_DEFECTIVE_TOL``), and
+    dense path must decide: a sample the closed form does not serve by
+    the rule of :func:`~nhwind.bloch._eigenvectors` (scalar ``h(k)``, or
+    eigenvectors parallel to within ``DEFECTIVE_TOL``), and
     ``n_cells < 1``, which :func:`build_chain` rejects.
     """
     if n_cells < 1:
@@ -348,9 +349,8 @@ def _bloch_waves(model: BlochModel, n_cells: int, with_left: bool = False):
     k = 2.0 * np.pi * np.arange(n_cells) / n_cells
     h = hk(model, k)
     e1, e2, s = _roots(h)
-    try:
-        u1, u2 = _check_diagonalizable(h, e1, e2, s, k)
-    except (AmbiguousTracking, Defective):
+    u1, u2, ratio = _eigenvectors(h, e1, e2, s)
+    if not np.all(ratio >= DEFECTIVE_TOL):  # a scalar sample's ratio is NaN
         return None
     blocks = np.stack([u1.T, u2.T], axis=-1)
     values = np.stack([e1, e2], axis=-1).ravel()

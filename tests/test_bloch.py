@@ -1,13 +1,15 @@
 """Unit tests for the two-band Bloch models and the 2x2 eigensolver."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import multiset_distance
-from nhwind import (BlochModel, Boundary, Defective, Gauge, GaugeSingular,
-                    chain_spectrum, demo, eig2, hk, hk_derivative, lee,
-                    localization_profile, loop_period, spectrum_scan)
+from nhwind import (AmbiguousTracking, BlochModel, Boundary, Defective, Gauge,
+                    GaugeSingular, build_chain, chain_spectrum, demo, eig2,
+                    eig_dense, hk, hk_derivative, lee, localization_profile,
+                    loop_period, spectrum_scan)
 from nhwind.bloch import EigenSystem2
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -219,6 +221,54 @@ def test_eig2_defective_raises():
               np.array([[1.0, 1.0], [0.0, 1.0]])):
         with pytest.raises(Defective):
             eig2(h)
+
+
+def test_eig2_refuses_an_on_grid_exceptional_point_as_the_loop_does():
+    # lee(0.75, 0.5, 0.5) coalesces at k = pi; float rounding leaves a
+    # ratio of 1.1e-8 there, which every sampled path refuses too.
+    model = lee(0.75, 0.5, 0.5)
+    for gauge in Gauge:
+        with pytest.raises(Defective, match=r"parallel \(ratio 1.11e-08\)"):
+            eig2(hk(model, np.pi), gauge)
+    with pytest.raises(Defective, match="near k = 3.141593"):
+        loop_period(model, 128)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_eig2_is_scale_free(scale):
+    h = scale * SIGMA_Z
+    sys2 = eig2(h, Gauge.SMOOTH)
+    for band in (+1, -1):
+        energy, u, _ = sys2.band(band)
+        assert (np.linalg.norm(h @ u - energy * u)
+                <= 1e-15 * np.linalg.norm(h) * np.linalg.norm(u))
+    with pytest.raises(Defective):
+        eig2(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    scalar = eig2(scale * (1.0 + 2.0j) * np.eye(2))
+    assert np.allclose(scalar.u_plus, [1.0, 1.0], rtol=0, atol=1e-15)
+    assert np.allclose(scalar.u_minus, [1.0, -1.0], rtol=0, atol=1e-15)
+
+
+def test_underflowing_samples_count_as_scalar_without_warning():
+    # At 1e-170 the squares of every entry underflow to 0, so no null
+    # row has a norm to scale by: a float64 limit, not a property of
+    # the model.  Such samples count as scalar, as a zero matrix does.
+    model = BlochModel(*(1e-170 * b for b in lee().blocks()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(AmbiguousTracking, match="scalar Hamiltonian"):
+            loop_period(model, 64)
+        values, right = eig_dense(build_chain(model, 4, Boundary.PERIODIC))
+        spectrum = chain_spectrum(model, 4, Boundary.PERIODIC)
+        assert np.array_equal(spectrum.eigenvalues, values)
+        assert np.array_equal(spectrum.right_vectors, right)
+        # A null row whose entries have both parts nonzero divides to
+        # inf + inf j, whose products must not warn either.
+        generic = eig2(1e-170 * (1 + 1j) * (SIGMA_X + SIGMA_Z))
+        sys2 = eig2(1e-300 * SIGMA_Z)
+    for basis in (generic, sys2):
+        assert np.array_equal(basis.u_plus, [1.0, 1.0])
+        assert np.array_equal(basis.u_minus, [1.0, -1.0])
 
 
 def test_eig2_splitting_far_below_the_mean_energy():

@@ -1,4 +1,6 @@
-"""Import hygiene: the package and its CLI load on numpy alone."""
+"""Import hygiene: the package and its CLI load on numpy alone, and the
+closed-form layer and the chains do not reach into the loop module."""
+import ast
 import os
 import subprocess
 import sys
@@ -18,3 +20,16 @@ def test_import_pulls_in_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_bloch_and_lattice_import_nothing_from_berry():
+    # Which samples the closed form serves is decided in bloch; lattice
+    # takes that rule from there, not through the loop module.
+    package = Path(nhwind.__file__).resolve().parent
+    for name in ("bloch.py", "lattice.py"):
+        tree = ast.parse((package / name).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [alias.name for alias in node.names]
+                assert not any("berry" in n for n in names), (name, names)
