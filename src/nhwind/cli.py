@@ -7,6 +7,15 @@ commands ``winding`` and ``reductio`` default to JSON.  Output is
 written atomically when ``--out`` is given, and byte-deterministic for
 fixed arguments: no timestamps, no environment-dependent content.
 
+Each subparser names its handler (``set_defaults(run=_cmd_...)``), and
+every handler returns ``(meta, table)``: ``meta`` an ordered dict of
+scalars, ``table`` an ordered ``{column name: array}`` whose columns
+all have one length (a single-record command gives one-element
+columns).  The two renderers read the table column by column, and a
+column's dtype alone decides its form: complex columns become
+``re_``/``im_`` pairs in CSV and ``{"re", "im"}`` cells in JSON, floats
+print as ``%.17g``, integers as integers.
+
 Each layer checks what only it can.  The parser's ``choices=`` refuses
 unknown names (model, gauge, band, derivative, boundary, side, format)
 and exits 2 itself.  :func:`_check` refuses the flag values a choices
@@ -96,11 +105,8 @@ def _cmd_bands(args: argparse.Namespace):
         "period_over_pi": traj.period / np.pi,
         "closure_error": traj.closure_error,
     }
-    columns = ["k", "energy", "energy_other"]
-    rows = [[float(k), complex(e), complex(o)]
-            for k, e, o in zip(traj.k_grid, traj.energies,
-                               traj.energies_other)]
-    return meta, columns, rows
+    return meta, {"k": traj.k_grid, "energy": traj.energies,
+                  "energy_other": traj.energies_other}
 
 
 def _cmd_winding(args: argparse.Namespace):
@@ -112,12 +118,13 @@ def _cmd_winding(args: argparse.Namespace):
         "command": "winding", "model": rep.model_label, "gauge": args.gauge,
         "grid_size": args.grid, "derivative": args.derivative,
     }
-    columns = ["period_over_pi", "raw_integral", "gamma_b", "w"]
-    row = [rep.period / np.pi, rep.raw_integral, rep.gamma_b, rep.w]
+    table = {"period_over_pi": [rep.period / np.pi],
+             "raw_integral": [rep.raw_integral], "gamma_b": [rep.gamma_b],
+             "w": [rep.w]}
     if rep.lee_normalization is not None:
-        columns += ["lee_normalization", "w_lee"]
-        row += [rep.lee_normalization, rep.w_lee]
-    return meta, columns, [row]
+        table.update(lee_normalization=[rep.lee_normalization],
+                     w_lee=[rep.w_lee])
+    return meta, table
 
 
 def _cmd_band_windings(args: argparse.Namespace):
@@ -131,9 +138,8 @@ def _cmd_band_windings(args: argparse.Namespace):
         "gauge": args.gauge, "grid_size": args.grid,
         "derivative": args.derivative,
     }
-    columns = ["band", "winding"]
-    rows = [["plus", w_plus], ["minus", w_minus], ["sum", w_plus + w_minus]]
-    return meta, columns, rows
+    return meta, {"band": ["plus", "minus", "sum"],
+                  "winding": [w_plus, w_minus, w_plus + w_minus]}
 
 
 def _near_integer(w: complex) -> int:
@@ -159,11 +165,10 @@ def _cmd_reductio(args: argparse.Namespace):
         "gauge": args.gauge, "grid_size": args.grid,
         "lee_normalization": normalization,
     }
-    columns = ["period_over_pi", "w", "w_lee",
-               "w_is_integer", "w_lee_is_integer"]
-    rows = [[rep.period / np.pi, rep.w, rep.w_lee,
-             _near_integer(rep.w), _near_integer(rep.w_lee)]]
-    return meta, columns, rows
+    return meta, {"period_over_pi": [rep.period / np.pi], "w": [rep.w],
+                  "w_lee": [rep.w_lee],
+                  "w_is_integer": [_near_integer(rep.w)],
+                  "w_lee_is_integer": [_near_integer(rep.w_lee)]}
 
 
 def _cmd_chain(args: argparse.Namespace):
@@ -176,11 +181,11 @@ def _cmd_chain(args: argparse.Namespace):
         "excluded": ";".join(str(i) for i in spectrum.excluded),
         "defectiveness": spectrum.defectiveness,
     }
-    columns = ["index", "eigenvalue", "ipr", "label"]
-    rows = []
-    for i, (e, p) in enumerate(zip(spectrum.eigenvalues, spectrum.iprs)):
-        rows.append([i, complex(e), float(p), classify(float(p), spectrum.size)])
-    return meta, columns, rows
+    iprs = spectrum.iprs
+    return meta, {"index": np.arange(iprs.size),
+                  "eigenvalue": spectrum.eigenvalues, "ipr": iprs,
+                  "label": [classify(p, spectrum.size)
+                            for p in iprs.tolist()]}
 
 
 def _cmd_localize(args: argparse.Namespace):
@@ -191,15 +196,13 @@ def _cmd_localize(args: argparse.Namespace):
         "n_cells": spectrum.n_cells, "bc": args.bc, "side": args.side,
         "balancing": BALANCING, "median_ipr": profile.median_ipr,
     }
-    columns = ["state", "site", "probability", "ipr", "label"]
-    rows = []
-    n_states = profile.probabilities.shape[1]
-    for i in range(n_states):
-        p = float(profile.iprs[i])
-        lab = profile.labels[i]
-        for j, weight in enumerate(profile.probabilities[:, i]):
-            rows.append([i, j, float(weight), p, lab])
-    return meta, columns, rows
+    # State-major: every site of state 0, then of state 1, and so on.
+    n_sites, n_states = profile.probabilities.shape
+    return meta, {"state": np.repeat(np.arange(n_states), n_sites),
+                  "site": np.tile(np.arange(n_sites), n_states),
+                  "probability": profile.probabilities.T.ravel(),
+                  "ipr": np.repeat(profile.iprs, n_sites),
+                  "label": np.repeat(profile.labels, n_sites)}
 
 
 def _cmd_scan(args: argparse.Namespace):
@@ -211,66 +214,49 @@ def _cmd_scan(args: argparse.Namespace):
         "n_list": ";".join(str(n) for n in args.n_list),
         "balancing": BALANCING,
     }
-    columns = ["n_cells", "max_abs_imag", "gap",
-               "median_ipr_open", "median_ipr_periodic"]
-    rows = [[o.n_cells, o.max_abs_imag, o.gap, o.median_ipr, p.median_ipr]
-            for o, p in zip(open_rows, per_rows)]
-    return meta, columns, rows
+    table = {name: [getattr(row, name) for row in open_rows]
+             for name in ("n_cells", "max_abs_imag", "gap")}
+    table["median_ipr_open"] = [row.median_ipr for row in open_rows]
+    table["median_ipr_periodic"] = [row.median_ipr for row in per_rows]
+    return meta, table
 
 
-_DISPATCH = {
-    "bands": _cmd_bands,
-    "winding": _cmd_winding,
-    "band-windings": _cmd_band_windings,
-    "reductio": _cmd_reductio,
-    "chain": _cmd_chain,
-    "scan": _cmd_scan,
-    "localize": _cmd_localize,
-}
+# CSV cell format per numpy dtype kind; complex columns take two cells.
+_CSV_FORMATS = {"f": "%.17g", "c": "%.17g,%.17g", "i": "%d"}
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.17g}"
+def _meta_cell(value) -> str:
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def _render_csv(meta, columns, rows) -> str:
-    cplx = [any(isinstance(row[i], complex) for row in rows)
-            for i in range(len(columns))]
-    header = []
-    for i, name in enumerate(columns):
-        header.extend([f"re_{name}", f"im_{name}"] if cplx[i] else [name])
-    lines = [f"# {key}={_csv_cell(value)}" for key, value in meta.items()]
+def _render_csv(meta, table) -> str:
+    header, formats, cells = [], [], []
+    for name, column in table.items():
+        column = np.asarray(column)
+        kind = column.dtype.kind
+        formats.append(_CSV_FORMATS.get(kind, "%s"))
+        if kind == "c":
+            header += [f"re_{name}", f"im_{name}"]
+            cells += [column.real.tolist(), column.imag.tolist()]
+        else:
+            header.append(name)
+            cells.append(column.tolist())
+    row = ",".join(formats)
+    lines = [f"# {key}={_meta_cell(value)}" for key, value in meta.items()]
     lines.append(",".join(header))
-    for row in rows:
-        cells = []
-        for i, value in enumerate(row):
-            if cplx[i]:
-                value = complex(value)
-                cells.extend([_fmt_float(value.real), _fmt_float(value.imag)])
-            else:
-                cells.append(_csv_cell(value))
-        lines.append(",".join(cells))
+    lines.extend(row % values for values in zip(*cells))
     return "\n".join(lines) + "\n"
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return _fmt_float(value)
-    return str(value)
-
-
-def _json_cell(value):
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    return value
-
-
-def _render_json(meta, columns, rows) -> str:
-    payload = {
-        "meta": {key: _json_cell(value) for key, value in meta.items()},
-        "columns": list(columns),
-        "rows": [[_json_cell(value) for value in row] for row in rows],
-    }
+def _render_json(meta, table) -> str:
+    cells = []
+    for column in map(np.asarray, table.values()):
+        values = column.tolist()
+        if column.dtype.kind == "c":
+            values = [{"re": z.real, "im": z.imag} for z in values]
+        cells.append(values)
+    payload = {"meta": meta, "columns": list(table),
+               "rows": list(zip(*cells))}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -334,6 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_loop(p)
     p.add_argument("--band", type=int, choices=(1, -1), default=1)
     add_out(p)
+    p.set_defaults(run=_cmd_bands)
 
     p = sub.add_parser("winding", help="closed-loop winding number")
     add_model(p)
@@ -342,6 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="analytic")
     p.add_argument("--lee-normalization", type=float, default=None)
     add_out(p, default_fmt="json")
+    p.set_defaults(run=_cmd_winding)
 
     p = sub.add_parser("band-windings",
                        help="single-zone segment windings of both bands")
@@ -350,6 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--derivative", choices=("analytic", "fd4"),
                    default="analytic")
     add_out(p)
+    p.set_defaults(run=_cmd_band_windings)
 
     p = sub.add_parser(
         "reductio",
@@ -360,18 +349,21 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="per-zone constant (default: 0.5 for demo, "
                             "2.0 for lee)")
     add_out(p, default_fmt="json")
+    p.set_defaults(run=_cmd_reductio)
 
     p = sub.add_parser("chain", help="spectrum of one finite chain")
     add_model(p)
     p.add_argument("--n", type=int, default=30, help="unit cells")
     p.add_argument("--bc", choices=("open", "periodic"), default="open")
     add_out(p)
+    p.set_defaults(run=_cmd_chain)
 
     p = sub.add_parser("scan", help="boundary sensitivity across sizes")
     add_model(p)
     p.add_argument("--n-list", dest="n_list", default="10,20,30",
                    help="comma-separated cell counts")
     add_out(p)
+    p.set_defaults(run=_cmd_scan)
 
     p = sub.add_parser("localize",
                        help="site-resolved weights of every eigenstate")
@@ -380,6 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bc", choices=("open", "periodic"), default="open")
     p.add_argument("--side", choices=("right", "left"), default="right")
     add_out(p)
+    p.set_defaults(run=_cmd_localize)
 
     return parser
 
@@ -389,9 +382,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check(args)
-        meta, columns, rows = _DISPATCH[args.command](args)
+        meta, table = args.run(args)
         render = _render_csv if args.fmt == "csv" else _render_json
-        _emit(render(meta, columns, rows), args.out)
+        _emit(render(meta, table), args.out)
         return 0
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

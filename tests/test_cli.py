@@ -6,6 +6,9 @@ import stat
 import numpy as np
 import pytest
 
+from nhwind import (Boundary, Gauge, band_winding, chain_spectrum, classify,
+                    lee, localization_profile, loop_period, spectrum_scan,
+                    winding_report)
 from nhwind.berry import AmbiguousTracking, NoClosure
 from nhwind.cli import main
 from nhwind.lattice import MatchFailure
@@ -324,3 +327,119 @@ def test_flag_refusals_exit_2(capsys):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == "", argv
         assert err.startswith(f"error: {flag} "), argv
+
+
+# The library columns each command prints, for one small argv each.
+def _bands_columns():
+    traj = loop_period(lee(), 256, Gauge("transpose"), 1)
+    return {"k": traj.k_grid, "energy": traj.energies,
+            "energy_other": traj.energies_other}
+
+
+def _winding_columns():
+    rep = winding_report(lee(), Gauge("transpose"), 256,
+                         lee_normalization=2.0)
+    return {"period_over_pi": [rep.period / np.pi],
+            "raw_integral": [rep.raw_integral], "gamma_b": [rep.gamma_b],
+            "w": [rep.w], "lee_normalization": [2.0], "w_lee": [rep.w_lee]}
+
+
+def _band_windings_columns():
+    plus, minus = (band_winding(lee(), band, Gauge("transpose"), 256)
+                   for band in (1, -1))
+    return {"band": ["plus", "minus", "sum"],
+            "winding": [plus, minus, plus + minus]}
+
+
+def _reductio_columns():
+    rep = winding_report(lee(), Gauge("first"), 256, lee_normalization=2.0)
+    return {"period_over_pi": [rep.period / np.pi], "w": [rep.w],
+            "w_lee": [rep.w_lee], "w_is_integer": [1],
+            "w_lee_is_integer": [0]}
+
+
+def _chain_columns():
+    spectrum = chain_spectrum(lee(), 4, Boundary.PERIODIC)
+    return {"index": list(range(8)), "eigenvalue": spectrum.eigenvalues,
+            "ipr": spectrum.iprs,
+            "label": [classify(p, 8) for p in spectrum.iprs]}
+
+
+def _localize_columns():
+    # State-major: all sites of one state, then the next state; a
+    # state's ipr and label repeat on each of its sites.
+    profile = localization_profile(chain_spectrum(lee(), 3), "left")
+    pairs = [(state, site) for state in range(6) for site in range(6)]
+    return {"state": [state for state, _ in pairs],
+            "site": [site for _, site in pairs],
+            "probability": [profile.probabilities[site, state]
+                            for state, site in pairs],
+            "ipr": [profile.iprs[state] for state, _ in pairs],
+            "label": [profile.labels[state] for state, _ in pairs]}
+
+
+def _scan_columns():
+    rows = spectrum_scan(lee(), (3, 4), Boundary.OPEN)
+    periodic = spectrum_scan(lee(), (3, 4), Boundary.PERIODIC)
+    return {"n_cells": [3, 4],
+            "max_abs_imag": [row.max_abs_imag for row in rows],
+            "gap": [row.gap for row in rows],
+            "median_ipr_open": [row.median_ipr for row in rows],
+            "median_ipr_periodic": [row.median_ipr for row in periodic]}
+
+
+RENDERER_CASES = {
+    "bands --grid 256": _bands_columns,
+    "winding --grid 256 --lee-normalization 2": _winding_columns,
+    "band-windings --grid 256": _band_windings_columns,
+    "reductio --grid 256": _reductio_columns,
+    "chain --n 4 --bc periodic": _chain_columns,
+    "localize --n 3 --side left": _localize_columns,
+    "scan --n-list 3,4": _scan_columns,
+}
+INTEGER_COLUMNS = {"index", "state", "site", "n_cells", "w_is_integer",
+                   "w_lee_is_integer"}
+
+
+@pytest.mark.parametrize("argv", RENDERER_CASES)
+def test_csv_and_json_print_the_same_library_table(capsys, argv):
+    code, csv_out, _ = run_cli(capsys, argv.split() + ["--format", "csv"])
+    assert code == 0
+    code, json_out, _ = run_cli(capsys, argv.split() + ["--format", "json"])
+    assert code == 0
+    meta, header, csv_rows = parse_csv(csv_out)
+    payload = json.loads(json_out)
+    assert set(meta) == set(payload["meta"])
+    for key, value in payload["meta"].items():
+        if isinstance(value, float):
+            assert float(meta[key]) == value, key
+        else:
+            assert meta[key] == str(value), key
+    expected = RENDERER_CASES[argv]()
+    assert payload["columns"] == list(expected)
+    assert len(csv_rows) == len(payload["rows"])
+    csv_columns = dict(zip(header, zip(*csv_rows)))
+    json_columns = dict(zip(payload["columns"], zip(*payload["rows"])))
+    for name, want in expected.items():
+        cells = json_columns[name]
+        assert len(cells) == len(want), name
+        if isinstance(cells[0], dict):
+            assert all(set(cell) == {"re", "im"} for cell in cells), name
+            re, im = csv_columns[f"re_{name}"], csv_columns[f"im_{name}"]
+            assert name not in csv_columns
+            for r, i, cell, value in zip(re, im, cells, want):
+                assert float(r) == cell["re"] == value.real, name
+                assert float(i) == cell["im"] == value.imag, name
+            continue
+        for text, cell, value in zip(csv_columns[name], cells, want):
+            if isinstance(cell, str):
+                assert text == cell == value, name
+            elif name in INTEGER_COLUMNS:
+                assert type(cell) is int and text == str(cell), name
+                assert cell == value, name
+            else:
+                assert float(text) == cell == value, name
+    assert set(header) == {
+        column for name, cells in json_columns.items()
+        for column in ([f"re_{name}", f"im_{name}"]
+                       if isinstance(cells[0], dict) else [name])}

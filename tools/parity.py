@@ -66,7 +66,9 @@ EIG2_MOMENTA = (0.0, 0.3, 1.7, np.pi, 4.4)
 CHAIN_CELLS = (3, 8, 12)
 MAX_ARRAY_BYTES = 20_000_000
 # Command lines beyond the benchmark's and the README's code examples:
-# the README's exit-code examples and a few more output paths.
+# the README's exit-code examples, a few more output paths, and every
+# command in the format no other argv gives it, so each of the 7
+# commands is covered in both CSV and JSON.
 EXTRA_ARGVS = (
     ("winding", "--grid", "256", "--derivative", "fd4", "--gauge", "first"),
     ("winding", "--gauge", "sideways"),
@@ -74,6 +76,12 @@ EXTRA_ARGVS = (
     ("chain", "--n", "8", "--bc", "periodic", "--format", "json"),
     ("band-windings", "--grid", "512", "--gauge", "second",
      "--derivative", "fd4"),
+    ("bands", "--grid", "256", "--format", "json"),
+    ("winding", "--grid", "256", "--format", "csv"),
+    ("reductio", "--grid", "256", "--format", "csv"),
+    ("band-windings", "--grid", "256", "--format", "json"),
+    ("localize", "--n", "4", "--format", "json"),
+    ("scan", "--n-list", "4,6", "--format", "json"),
 )
 
 
