@@ -47,15 +47,16 @@ the tracked branch is ``tr(h)/2 + sqrt(D)`` continued analytically
 along k (:func:`_turns`), so a scalar term ``f(k) * 1`` in ``h(k)``
 never moves it.  The tracker (:func:`_track_branches`) returns which
 root each sample is on, ``e1 = m + sqrt(D)`` or its trace partner
-``e2``, and decides a tie of the rule (a right-angle turn) from the two
-roots' unit right vectors; the tracked energies and vectors are both
-selected from that one mask.  The braid is the half-integer phase
-winding of ``sqrt(D)`` over a zone, the "energy vorticity" of Shen,
-Zhen & Fu, PRL 120, 146402 (2018): the continued splitting flips sign
-an odd number of times over one zone.  :func:`loop_period` reads the
-period from that parity before it tracks anything, tracks a braided
-loop over its two zones at once, and keeps the closure check as a
-validation of the loop it returns.
+``e2``; the tracked energies and vectors are both selected from that
+one mask.  A tie of the rule (a right-angle turn or a vanishing
+splitting) leaves the continuation unresolved by the grid, and the
+tracker refuses it with :class:`AmbiguousTracking`.  The braid is the
+half-integer phase winding of ``sqrt(D)`` over a zone, the "energy
+vorticity" of Shen, Zhen & Fu, PRL 120, 146402 (2018): the continued
+splitting flips sign an odd number of times over one zone.
+:func:`loop_period` reads the period from that parity before it tracks
+anything, tracks the loop once over that period, and keeps the closure
+check as a validation of the loop it returns.
 
 Per-band segment integrals over a single Brillouin zone
 (:func:`band_winding`) and the two halves of a braided loop
@@ -111,8 +112,7 @@ __all__ = [
 # Relative closure tolerance on (energy, gauge-fixed state) at the loop end.
 CLOSURE_TOL = 1e-8
 # A step whose splitting turn Re(s_j conj(s_{j-1})) is within this
-# fraction of |s_j| |s_{j-1}| of zero is a tie; so are two overlaps
-# within this relative distance.
+# fraction of |s_j| |s_{j-1}| of zero is a tie, which tracking refuses.
 TIE_TOL = 1e-10
 # A closed-loop winding counts as an integer when its imaginary part and
 # its distance to the nearest integer are both within this bound.
@@ -135,14 +135,15 @@ class Band(IntEnum):
 
 
 class AmbiguousTracking(RuntimeError):
-    """Branch continuation cannot be decided: the eigenvalue splitting
-    turns by a right angle (or vanishes) between two samples and the
-    eigenvector overlaps do not break the tie either."""
+    """Branch continuation cannot be decided: a sample is scalar, or the
+    eigenvalue splitting turns by a right angle (or vanishes) between
+    two samples, which the grid does not resolve."""
 
 
 class NoClosure(RuntimeError):
-    """The tracked branch fails to return to its starting state after
-    two Brillouin zones (or the stored loop data violate closure)."""
+    """The tracked branch fails to return to its starting state over
+    the period its splitting's parity gives (or the stored loop data
+    violate closure)."""
 
 
 def _turns(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,35 +165,28 @@ def _turns(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return turn < -margin, abs(turn) <= margin
 
 
-def _track_branches(s: np.ndarray, band: int, r1: np.ndarray,
-                    r2: np.ndarray) -> np.ndarray:
+def _track_branches(s: np.ndarray, band: int) -> np.ndarray:
     """Follow one branch through the samples by continuity.
 
     ``s`` holds the half splitting ``sqrt(D)`` of the two closed-form
     roots ``e1`` and ``e2`` at each momentum, as
     :func:`~nhwind.bloch._roots` returns them.  Tracking starts on
     ``e1`` for ``Band.PLUS`` and on ``e2`` for ``Band.MINUS`` and
-    continues ``s`` by :func:`_turns`.  A tie at step ``j`` is decided
-    by ``r1``/``r2``, the unit right vectors of ``e1`` and ``e2``
-    (component-major): the adjugate row of the previous *other*-branch
-    vector annihilates the root a crossover would land on and is
-    maximal on the true continuation, so the branch goes to the root it
-    overlaps more.  An overlap tie raises :class:`AmbiguousTracking`.
+    continues ``s`` by :func:`_turns`.  The first tie raises
+    :class:`AmbiguousTracking` naming its step: the splitting turns by
+    a right angle or vanishes there, and the grid does not resolve
+    which way the branch continues.
 
     Returns ``on2``: per sample, whether the branch sits on ``e2``.
     """
-    start_on2 = Band(band) is Band.MINUS
     flip, tie = _turns(s)
-    for j in np.flatnonzero(tie) + 1:
-        on2 = start_on2 != bool(np.count_nonzero(flip[:j - 1]) % 2)
-        prev = (r1 if on2 else r2)[:, j - 1]
-        l_dir = np.array([prev[1], -prev[0]])
-        o1, o2 = abs(l_dir @ r1[:, j]), abs(l_dir @ r2[:, j])
-        if abs(o1 - o2) <= TIE_TOL * max(o1, o2, 1e-300):
-            raise AmbiguousTracking(
-                f"splitting and overlap tie at sample {j}")
-        flip[j - 1] = (o1 > o2) == on2
-    return np.logical_xor.accumulate(np.r_[start_on2, flip])
+    if np.any(tie):
+        j = int(np.argmax(tie)) + 1
+        raise AmbiguousTracking(
+            f"splitting tie at step {j} (samples {j - 1} to {j}): the "
+            f"splitting turns by a right angle or vanishes, and the grid "
+            f"does not resolve the continuation there")
+    return np.logical_xor.accumulate(np.r_[Band(band) is Band.MINUS, flip])
 
 
 def _braids(s: np.ndarray) -> bool:
@@ -200,8 +194,8 @@ def _braids(s: np.ndarray) -> bool:
     the half splitting ``s``: ``s``, continued by :func:`_turns` over
     the zone and then across the wrap from ``k = 2 pi`` back to
     ``k = 0``, flips sign decisively.  A tie anywhere on the way answers
-    ``False``: only the tracker, from the two roots' unit vectors, can
-    decide it.
+    ``False``, so the zone is tracked as it is and the tracker refuses
+    the tie.
     """
     flip, tie = _turns(s)
     end = -s[-1] if np.count_nonzero(flip) % 2 else s[-1]
@@ -219,8 +213,9 @@ def _tracked_segment(model: BlochModel, k_inc: np.ndarray, gauge: Gauge,
     the closed form's rule of :func:`~nhwind.bloch._eigenvectors` (a
     scalar sample raises :class:`AmbiguousTracking`, an exceptional
     point :class:`~nhwind.bloch.Defective` naming its ``k``), tracks the
-    branch with the overlap tie-break and fixes the gauge on the
-    tracked branch.  Returns
+    branch by the splitting alone (a tie raises
+    :class:`AmbiguousTracking`) and fixes the gauge on the tracked
+    branch.  Returns
     ``(tracked, other, u, l, c)``: the energies of both branches, the
     gauge-fixed right and left vectors of the tracked one (see
     :func:`nhwind.bloch._fix_gauge`), component-major, and the spinor
@@ -245,7 +240,7 @@ def _tracked_segment(model: BlochModel, k_inc: np.ndarray, gauge: Gauge,
             f"non-diagonalizable point near k = {float(k_inc[j]):.6f} "
             f"(singular-value ratio {float(ratio[j]):.2e})")
     try:
-        on2 = _track_branches(s, start_band, r1, r2)
+        on2 = _track_branches(s, start_band)
     except AmbiguousTracking as exc:
         raise AmbiguousTracking(f"{exc} (of {k_inc.size} samples on "
                                 f"[0, {k_inc[-1]:.6f}])") from exc
@@ -314,12 +309,11 @@ class LoopTrajectory:
         if np.max(np.abs(np.diff(k) - step)) > 1e-9:
             raise ValueError("loop samples must be uniformly spaced")
         # Continuity by the tracking rule: no step, the wrap back to
-        # k = 0 included, may flip the splitting.  A tie may go either
-        # way, since the overlap resolver decides it, but a zero
-        # splitting is not a continuation.
+        # k = 0 included, may flip the splitting or tie (a zero
+        # splitting ties both of its steps).
         split = e_t - e_o
-        flip, _ = _turns(np.append(split, split[0]))
-        if np.any(flip) or not np.all(split):
+        flip, tie = _turns(np.append(split, split[0]))
+        if np.any(flip | tie):
             raise ValueError("stored samples are not a continuously "
                              "tracked branch")
         pairing = _dot(l.T, u.T)
@@ -380,12 +374,12 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
     The period comes from the parity of the splitting ``E1 - E2 =
     2 sqrt(D)`` over one Brillouin zone: continued by :func:`_turns`,
     it ends the zone with the sign it started with (period 2 pi) or the
-    opposite one (4 pi, the branches braid).  A decisively odd parity,
-    with no tie in the zone and a wrap turn beyond the tie margin,
-    tracks the two-zone loop at once; anything else tracks the zone
-    already evaluated and falls back to two zones when it fails to
-    close, so ties, exceptional points and scalar samples meet the
-    checks in the same order either way.  The detected period is the
+    opposite one (4 pi, the branches braid).  The branch is tracked
+    exactly once: over the two-zone grid when the parity is decisively
+    odd (no tie in the zone, a wrap turn beyond the tie margin), else
+    over the zone-one samples the parity read already holds, where a
+    scalar sample, an exceptional point and then a tie meet the
+    tracker's checks in that order.  The detected period is the
     ``period`` field of the returned trajectory, and closure is checked
     on it.  ``grid_size`` is the number of samples per Brillouin zone
     and must be even and at least 64.  The trajectory records the
@@ -394,8 +388,9 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
     integrates loops such as the Hermitian topological chain on which
     every component gauge has a pole.  Closure compares the energy and
     the gauge-fixed state ``u``.
-    Raises :class:`NoClosure` if the state does not return after two zones,
-    :class:`AmbiguousTracking` on an unresolvable branch tie, and
+    Raises :class:`NoClosure` if the state does not return over that
+    period, :class:`AmbiguousTracking` on a scalar sample or a splitting
+    tie, and
     :class:`~nhwind.bloch.Defective` /
     :class:`~nhwind.bloch.GaugeSingular` on per-sample pathologies.
     """
@@ -405,28 +400,26 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
     k_inc = np.arange(grid_size + 1) * step
     h = hk(model, k_inc)
     samples = (h, *_roots(h))
-    closure = np.inf
-    # A braided zone ends on the other branch, so it cannot close.
-    for zones in (2,) if _braids(samples[3]) else (1, 2):
-        if zones == 2:
-            k_inc = np.arange(2 * grid_size + 1) * step
-            samples = None  # evaluated on the two-zone grid
-        e_t, e_o, u, l, c = _tracked_segment(model, k_inc, gauge,
-                                             start_band, samples)
-        err_e = abs(e_t[-1] - e_t[0]) / max(1.0, abs(e_t[0]))
-        err_u = (np.max(abs(u[:, -1] - u[:, 0]))
-                 / max(1.0, np.max(abs(u[:, 0]))))
-        closure = float(max(err_e, err_u))
-        if closure <= CLOSURE_TOL:
-            return LoopTrajectory(
-                model=model, gauge=gauge, start_band=start_band,
-                period=zones * 2.0 * np.pi, k_grid=k_inc[:-1],
-                energies=e_t[:-1], energies_other=e_o[:-1],
-                states=u[:, :-1].T, left_states=l[:, :-1].T,
-                closure_error=closure, reference=c)
-    raise NoClosure(
-        f"branch of {model.label} fails to close after two Brillouin "
-        f"zones (final mismatch {closure:.3e})")
+    # A braided zone ends on the other branch, so only two zones close.
+    zones = 2 if _braids(samples[3]) else 1
+    if zones == 2:
+        k_inc = np.arange(2 * grid_size + 1) * step
+        samples = None  # evaluated on the two-zone grid
+    e_t, e_o, u, l, c = _tracked_segment(model, k_inc, gauge, start_band,
+                                         samples)
+    err_e = abs(e_t[-1] - e_t[0]) / max(1.0, abs(e_t[0]))
+    err_u = (np.max(abs(u[:, -1] - u[:, 0]))
+             / max(1.0, np.max(abs(u[:, 0]))))
+    closure = float(max(err_e, err_u))
+    if closure > CLOSURE_TOL:
+        raise NoClosure(
+            f"branch of {model.label} fails to close over its "
+            f"{2 * zones} pi period (final mismatch {closure:.3e})")
+    return LoopTrajectory(
+        model=model, gauge=gauge, start_band=start_band,
+        period=zones * 2.0 * np.pi, k_grid=k_inc[:-1], energies=e_t[:-1],
+        energies_other=e_o[:-1], states=u[:, :-1].T,
+        left_states=l[:, :-1].T, closure_error=closure, reference=c)
 
 
 def _analytic_du(dh: np.ndarray, u: np.ndarray, split: np.ndarray,
@@ -468,25 +461,27 @@ def _connection_samples(traj: LoopTrajectory, derivative: str) -> np.ndarray:
         # stencil the interior of the segment one.
         du = _fd4_segment(np.pad(u, ((0, 0), (2, 2)), mode="wrap"),
                           dk)[:, 2:-2]
-    return _connection(traj.left_states.T, u, du, dk)
+    return _connection(traj.left_states.T, u, du, dk, traj.gauge)
 
 
 def _connection(l: np.ndarray, u: np.ndarray, du: np.ndarray, dk: float,
-                ) -> np.ndarray:
+                gauge: Gauge) -> np.ndarray:
     """Berry connection ``f = (l @ du) / (l @ u)`` per sample of the
     component-major vectors, refused with
     :class:`~nhwind.bloch.GaugeSingular` when one sample would
     contribute more than ``POLE_TOL`` to the integral over steps ``dk``.
+    Only a component gauge's refusal recommends the smooth gauge.
     """
     f = _dot(l, du) / _dot(l, u)
     worst = float(np.max(np.abs(f))) * dk
     if not np.isfinite(worst) or worst > POLE_TOL:
+        advice = "" if gauge is Gauge.SMOOTH else (
+            "; no grid refinement can resolve this in a component gauge; "
+            "the smooth gauge ('smooth') integrates through a component "
+            "that only crosses zero")
         raise GaugeSingular(
             f"connection pole between grid points: one sample "
-            f"contributes {worst:.3g} to the integral; no grid "
-            f"refinement can resolve this in a component gauge; the "
-            f"smooth gauge ('smooth') integrates through a component "
-            f"that only crosses zero")
+            f"contributes {worst:.3g} to the integral{advice}")
     return f
 
 
@@ -556,7 +551,7 @@ def band_winding(model: BlochModel, band: Band = Band.PLUS,
         du = _analytic_du(hk_derivative(model, k_inc), u, e_t - e_o, c)
     else:
         du = _fd4_segment(u, step)
-    return _segment_winding(_connection(l, u, du, step), step)
+    return _segment_winding(_connection(l, u, du, step, gauge), step)
 
 
 def _segment_winding(f: np.ndarray, dk: float) -> complex:

@@ -11,7 +11,8 @@ from nhwind import (AmbiguousTracking, Band, BlochModel, Defective, Gauge,
                     winding_lee, winding_number, winding_report)
 from nhwind import berry
 from nhwind.berry import _track_branches, _tracked_segment
-from nhwind.bloch import REFERENCE_SPINORS, EigenSystem2, _reference_spinor
+from nhwind.bloch import (REFERENCE_SPINORS, EigenSystem2, _reference_spinor,
+                          _roots)
 
 # Frozen per-band windings of the lee defaults at grid 8192.
 W_PLUS = 0.163074835164099
@@ -28,15 +29,11 @@ def test_band_enum_coercion():
         Band(0)
 
 
-def _tracked(e1, e2, band, r1=None, r2=None):
+def _tracked(e1, e2, band):
     """(tracked, other) energies of the roots ``e1``/``e2`` as the
-    tracker's mask selects them.  Without ``r1``/``r2`` it passes the
-    basis vectors, which only a tie would read."""
+    tracker's mask selects them."""
     e1, e2 = np.asarray(e1, dtype=complex), np.asarray(e2, dtype=complex)
-    if r1 is None:
-        r1 = np.outer([1.0, 0.0], np.ones(e1.size))
-        r2 = np.outer([0.0, 1.0], np.ones(e1.size))
-    on2 = _track_branches(0.5 * (e1 - e2), band, r1, r2)
+    on2 = _track_branches(0.5 * (e1 - e2), band)
     return np.where(on2, e2, e1), np.where(on2, e1, e2)
 
 
@@ -50,22 +47,15 @@ def test_track_branches_follows_nearest():
     assert np.array_equal(tracked, e2)
 
 
-def test_track_branches_tie_needs_vectors():
-    # A vanishing splitting at sample 0 ties the continuity rule.  The
-    # branch starts on e1, so the previous other-branch vector is
-    # r2[:, 0] = (0, 1) and the left direction is (1, 0): the root whose
-    # vector has the larger first component at sample 1 wins.
+def test_track_branches_refuses_a_vanishing_splitting():
+    # A vanishing splitting at sample 0 ties the continuity rule: no
+    # direction of the splitting there says which root sample 1 is on.
     e1 = np.array([0.0, 1.0], dtype=complex)
     e2 = np.array([0.0, -1.0], dtype=complex)
-    r2 = np.array([[0.0, 0.1], [1.0, 1.0]], dtype=complex)
-    tracked, _ = _tracked(e1, e2, Band.PLUS, np.array([[1.0, 1.0],
-                                                       [0.0, 0.1]]), r2)
-    assert tracked[1] == 1.0
-    tracked, _ = _tracked(e1, e2, Band.PLUS, np.array([[1.0, 0.01],
-                                                       [0.0, 1.0]]), r2)
-    assert tracked[1] == -1.0
-    with pytest.raises(AmbiguousTracking):
-        _tracked(e1, e2, Band.PLUS, np.array([[1.0, 0.1], [0.0, 1.0]]), r2)
+    for band in Band:
+        with pytest.raises(AmbiguousTracking,
+                           match=r"tie at step 1 \(samples 0 to 1\)"):
+            _tracked(e1, e2, band)
 
 
 def test_track_branches_follows_the_splitting_not_the_mean():
@@ -82,61 +72,96 @@ def test_track_branches_follows_the_splitting_not_the_mean():
     assert np.array_equal(tracked, [1.0, 11.0])
 
 
-def test_overlap_rule_breaks_splitting_tie():
+def test_track_branches_refuses_a_right_angle_turn():
     # The splitting turns by a right angle at sample 1 (2 -> 2i), an
-    # exact tie of the continuity rule.  From Band.PLUS the previous
-    # other-branch vector is e2, so the left direction is (1, 0): it
-    # annihilates r2[:, 1] and keeps the continuation r1[:, 1].  From
-    # Band.MINUS it is (0, -1), which favours r2[:, 1] (1.0 over 0.8).
+    # exact tie of the continuity rule: +2i and -2i are equally near,
+    # so the grid does not say which root the branch continues on.
     e1 = np.array([1.0, 1.0j], dtype=complex)
     e2 = -e1
-    r1 = np.array([[1.0, 0.6], [0.0, 0.8]], dtype=complex)
-    r2 = np.array([[0.0, 0.0], [1.0, 1.0]], dtype=complex)
-    tracked, other = _tracked(e1, e2, Band.PLUS, r1, r2)
-    assert np.array_equal(tracked, e1) and np.array_equal(other, e2)
-    tracked, other = _tracked(e1, e2, Band.MINUS, r1, r2)
-    assert np.array_equal(tracked, e2) and np.array_equal(other, e1)
-    # Equal overlaps of the two candidates leave the tie standing.
-    r2_tied = np.array([[0.0, -0.6], [1.0, 0.8]], dtype=complex)
-    with pytest.raises(AmbiguousTracking, match="overlap tie at sample 1"):
-        _tracked(e1, e2, Band.PLUS, r1, r2_tied)
+    for band in Band:
+        with pytest.raises(AmbiguousTracking,
+                           match="tie at step 1 .*does not resolve"):
+            _tracked(e1, e2, band)
+    # Just off the right angle the rule decides again.
+    tracked, _ = _tracked([1.0, 1e-6 + 1.0j], [-1.0, -1e-6 - 1.0j],
+                           Band.PLUS)
+    assert np.array_equal(tracked, [1.0, 1e-6 + 1.0j])
 
 
-def test_tracked_segment_hands_a_resolved_tie_its_own_vectors():
+def test_tracked_segment_refuses_a_right_angle_tie():
     # Explicit samples h_j = R_j diag(s_j, -s_j) R_j^-1 with s = (1, i):
-    # the splitting turns by a right angle, an exact tie.  The columns
-    # of R_1 are roughly those of R_0 swapped, so the overlap rule moves
-    # each branch onto the other root at sample 1.  The energies the
-    # segment returns and the gauge-fixed u must both belong to the
-    # root that rule picks.
+    # the splitting turns by a right angle, an exact tie.  However the
+    # eigenvectors of the two samples overlap, every band and gauge
+    # refuses the step, and the message names the segment.
     s = np.array([1.0, 1.0j])
     rs = np.array([[[1.0, 0.3 + 0.1j], [0.2, 1.0]],
                    [[0.25, 1.0], [1.0 - 0.05j, 0.35]]], dtype=complex)
     h = np.stack([r @ np.diag([sj, -sj]) @ np.linalg.inv(r)
                   for r, sj in zip(rs, s)])
-    unit = rs / np.linalg.norm(rs, axis=1, keepdims=True)
     k_inc = np.array([0.0, 0.1])
     for band in Band:
-        start = 0 if band is Band.PLUS else 1
-        other = unit[0][:, 1 - start]
-        l_dir = np.array([other[1], -other[0]])
-        pick = int(np.argmax(abs(l_dir @ unit[1])))
-        assert pick != start
         for gauge in Gauge:
-            tracked, rest, u, l, c = _tracked_segment(
-                lee(), k_inc, gauge, band, (h, s, -s, s))
+            with pytest.raises(AmbiguousTracking,
+                               match=r"tie at step 1 .* \(of 2 samples on "
+                                     r"\[0, 0\.100000\]\)"):
+                _tracked_segment(lee(), k_inc, gauge, band, (h, s, -s, s))
+
+
+def test_tracked_segment_energies_and_vectors_share_one_mask():
+    # The braided lee() loop moves the branch between the roots e1 and
+    # e2 over its two zones.  Energies and gauge-fixed vectors are
+    # selected from one mask, so each stored u is an eigenvector of its
+    # stored energy on both sides of every flip.
+    model, grid = lee(), 256
+    k_inc = np.arange(2 * grid + 1) * (2 * np.pi / grid)
+    h = hk(model, k_inc)
+    e1, e2, _ = _roots(h)
+    for band in Band:
+        for gauge in Gauge:
+            tracked, other, u, _, _ = _tracked_segment(model, k_inc, gauge,
+                                                       band)
             tag = (band.name, gauge.value)
-            assert tracked[0] == (s[0] if start == 0 else -s[0]), tag
-            assert tracked[1] == (s[1] if pick == 0 else -s[1]), tag
-            assert np.array_equal(rest, -tracked), tag
-            for j in range(2):
-                size = np.max(abs(u[:, j]))
-                residual = h[j] @ u[:, j] - tracked[j] * u[:, j]
-                assert np.max(abs(residual)) < 1e-12 * size, tag
-            # Parallel to R_1's picked column.
-            picked = rs[1][:, pick]
-            cross = u[0, 1] * picked[1] - u[1, 1] * picked[0]
-            assert abs(cross) < 1e-12 * np.max(abs(u[:, 1])), tag
+            on2 = tracked == e2
+            assert np.array_equal(np.where(on2, e2, e1), tracked), tag
+            assert np.array_equal(np.where(on2, e1, e2), other), tag
+            assert on2.any() and not on2.all(), tag
+            residual = np.einsum("mij,jm->im", h, u) - tracked * u
+            size = np.max(abs(u), axis=0)
+            assert np.max(np.max(abs(residual), axis=0) / size) < 1e-12, tag
+
+
+def _right_angle_tie(grid, j):
+    """A braided model whose splitting turns by exactly a right angle
+    between samples ``j`` and ``j + 1`` of a ``grid``-sample zone:
+    ``D = 0.16 + c0 + 0.3/z + z`` at ``z = e^{ik}`` winds once, and
+    ``c0`` makes ``D(k_{j+1}) = -D(k_j)``."""
+    z0, z1 = np.exp(2j * np.pi * np.array([j, j + 1]) / grid)
+    c0 = -(0.3 * (1 / z0 + 1 / z1) + (z0 + z1) + 0.32) / 2
+    return BlochModel([[0, 0], [0.3, 0]], [[0.4, 1], [c0, -0.4]],
+                      [[0, 0], [1, 0]], label=f"tie@{grid}")
+
+
+@pytest.mark.parametrize("j", [10, 66])
+def test_loop_period_refuses_a_right_angle_tie_on_a_grid_step(j):
+    # The tie sits on step j + 1 of grid 256.  Guessing it from the
+    # eigenvector overlaps gave NoClosure below j = 64 and period 2 pi
+    # from there on, so split_check said the loop closes after 2 pi.
+    # Any grid that moves the tie off a step finds the 4 pi braid.
+    grid = 256
+    model = _right_angle_tie(grid, j)
+    h = hk(model, np.arange(grid + 1) * (2 * np.pi / grid))
+    s = _roots(h)[2]
+    turn = (s[j + 1] * np.conj(s[j])).real
+    assert abs(turn) <= berry.TIE_TOL * abs(s[j + 1]) * abs(s[j])
+    step = rf"tie at step {j + 1} \(samples {j} to {j + 1}\)"
+    for gauge in Gauge:
+        for band in Band:
+            with pytest.raises(AmbiguousTracking, match=step):
+                loop_period(model, grid, gauge, band)
+        with pytest.raises(AmbiguousTracking, match=step):
+            split_check(model, gauge, grid)
+    for other in (grid + 2, 2048):
+        assert loop_period(model, other).period == 4 * np.pi, other
 
 
 def test_eig2_energies_match_tracked_loop_bit_for_bit():
@@ -621,6 +646,13 @@ def test_trajectory_validation_rejects_corrupted_data(lee_default):
     e_bad = np.array(traj.energies)
     e_bad[10:12] = traj.energies_other[10:12]  # jump to the other branch
     with pytest.raises(ValueError):
+        dataclasses.replace(traj, energies=e_bad)
+    # A right-angle turn of the splitting is a tie, which no tracked
+    # loop holds.
+    e_bad = np.array(traj.energies)
+    split = traj.energies - traj.energies_other
+    e_bad[10] = traj.energies_other[10] + 1j * split[9]
+    with pytest.raises(ValueError, match="continuously tracked"):
         dataclasses.replace(traj, energies=e_bad)
 
     with pytest.raises(ValueError):

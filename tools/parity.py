@@ -99,8 +99,24 @@ def _scalar_at_zero() -> BlochModel:
                       label="scalar_at_0")
 
 
-# Name -> factory.  The last three raise on the loop: an exceptional
-# point on the grid, a scalar sample and a constant model.
+def _right_angle_tie(grid: int, j: int) -> BlochModel:
+    """A braided model whose splitting turns by exactly a right angle
+    between samples ``j`` and ``j + 1`` of a ``grid``-sample zone.
+
+    ``h(k) = 0.4 sigma_z + sigma_+ + (c0 + 0.3 e^{-ik} + e^{ik})
+    sigma_-`` has ``D = 0.16 + c0 + 0.3/z + z`` at ``z = e^{ik}``.  The
+    constant ``c0`` makes ``D(z1) = -D(z0)`` at ``z0, z1 = e^{2 pi i j /
+    grid}, e^{2 pi i (j + 1) / grid}``, and D winds once over a zone.
+    """
+    z0, z1 = np.exp(2j * np.pi * np.array([j, j + 1]) / grid)
+    c0 = -(0.3 * (1 / z0 + 1 / z1) + (z0 + z1) + 0.32) / 2
+    return BlochModel([[0, 0], [0.3, 0]], [[0.4, 1], [c0, -0.4]],
+                      [[0, 0], [1, 0]], label=f"tie@{grid}")
+
+
+# Name -> factory.  The last four raise on the loop at grid 256: a
+# right-angle tie of the splitting, an exceptional point on the grid, a
+# scalar sample and a constant model.
 MODELS = {
     "lee()": lee,
     "lee(.7,.5,0)": lambda: lee(.7, .5, 0),
@@ -115,6 +131,7 @@ MODELS = {
                                             "lee()+diag(.37,.37)"),
     "lee()+diag(.8,.15)": lambda: _shifted(np.diag([.8, .15]),
                                            "lee()+diag(.8,.15)"),
+    "tie@256": lambda: _right_angle_tie(256, 66),
     "lee(.75,.5,.5)": lambda: lee(.75, .5, .5),
     "scalar_at_0": _scalar_at_zero,
     "diag(1,-1)": lambda: BlochModel(np.zeros((2, 2)), np.diag([1.0, -1.0]),
