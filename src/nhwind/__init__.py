@@ -10,30 +10,13 @@ lattices and quantifies the skin effect: boundary-driven localization,
 spectral collapse toward the real axis, and the loss of left/right
 biorthogonality at finite precision.
 """
-from .bloch import (BlochModel, Defective, EigenSystem2, Gauge,
-                    GaugeSingular, demo, eig2, hk, hk_derivative, lee)
-from .berry import (AmbiguousTracking, Band, LoopTrajectory, NoClosure,
-                    SplitWindings, WindingReport, band_winding, berry_phase,
-                    loop_period, split_check, winding_lee, winding_number,
-                    winding_report)
-from .lattice import (Boundary, ChainSpectrum, GapReport,
-                      LocalizationProfile, MatchFailure, ScanRow,
-                      build_chain, chain_spectrum, classify, defectiveness,
-                      eig_dense, ipr, left_vectors, localization_profile,
-                      spectral_gap, spectrum_scan)
+from . import berry, bloch, lattice
+from .bloch import *  # noqa: F403
+from .berry import *  # noqa: F403
+from .lattice import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlochModel", "EigenSystem2", "Gauge", "GaugeSingular", "Defective",
-    "lee", "demo", "hk", "hk_derivative", "eig2",
-    "AmbiguousTracking", "NoClosure", "Band", "LoopTrajectory",
-    "WindingReport",
-    "SplitWindings", "loop_period", "berry_phase", "winding_number",
-    "winding_lee", "band_winding", "split_check", "winding_report",
-    "Boundary", "MatchFailure", "ChainSpectrum", "GapReport",
-    "LocalizationProfile", "ScanRow", "build_chain", "eig_dense",
-    "left_vectors", "ipr", "classify", "spectral_gap", "defectiveness",
-    "chain_spectrum", "localization_profile", "spectrum_scan",
-    "__version__",
-]
+# Each module's __all__ is its list of public names; the package
+# re-exports them, and this list is their union.
+__all__ = [*bloch.__all__, *berry.__all__, *lattice.__all__, "__version__"]

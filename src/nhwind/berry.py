@@ -55,8 +55,9 @@ half-integer phase winding of ``sqrt(D)`` over a zone, the "energy
 vorticity" of Shen, Zhen & Fu, PRL 120, 146402 (2018): the continued
 splitting flips sign an odd number of times over one zone.
 :func:`loop_period` reads the period from that parity before it tracks
-anything, tracks the loop once over that period, and keeps the closure
-check as a validation of the loop it returns.
+anything and tracks the loop once over that period;
+:class:`LoopTrajectory`, the record it returns, judges closure as a
+validation of that loop.
 
 Per-band segment integrals over a single Brillouin zone
 (:func:`band_winding`) and the two halves of a braided loop
@@ -65,10 +66,11 @@ so the two halves of a 4 pi loop sum exactly to the full loop winding.
 
 Connections in a gauge with a fixed spinor can develop poles where
 ``c . r`` crosses zero between grid points, and the transpose pairing
-can pass through zero the same way.  When a single grid sample
-contributes more than 0.5 to the integral the pole is unresolvable at
-any grid, and :class:`~nhwind.bloch.GaugeSingular` is raised rather
-than returning grid-dependent junk; the guard stays on in every gauge.
+can pass through zero the same way; near an exceptional point the
+connection also peaks sharply enough for a coarse grid to miss.  When a
+single grid sample contributes more than 0.5 to the integral,
+:class:`~nhwind.bloch.GaugeSingular` is raised rather than returning
+grid-dependent junk; the guard stays on in every gauge.
 On a real-symmetric loop such as the Hermitian topological chain each
 real eigenvector component has a genuine zero, so ``first``,
 ``second`` and ``transpose`` all meet such a pole.  The smooth gauge
@@ -88,10 +90,9 @@ from enum import IntEnum
 
 import numpy as np
 
-from .bloch import (_GAUGES, DEFECTIVE_TOL, GAUGE_TOL, BlochModel,
-                    Defective, Gauge, GaugeSingular, _adopt, _dot,
-                    _eigenvectors, _fix_gauge, _project, _roots, hk,
-                    hk_derivative)
+from .bloch import (_GAUGES, DEFECTIVE_TOL, BlochModel, Defective, Gauge,
+                    GaugeSingular, _adopt, _dot, _eigenvectors, _fix_gauge,
+                    _project, _roots, _self_orthogonal, hk, hk_derivative)
 
 __all__ = [
     "AmbiguousTracking",
@@ -118,8 +119,10 @@ TIE_TOL = 1e-10
 # its distance to the nearest integer are both within this bound.
 INTEGER_TOL = 1e-6
 # A single sample contributing more than this to the connection integral
-# means an unresolvable pole sits between grid points.
+# means a pole sits between grid points.
 POLE_TOL = 0.5
+# The ways a connection's d u / d k may be taken (see berry_phase).
+DERIVATIVES = ("analytic", "fd4")
 
 
 class Band(IntEnum):
@@ -142,8 +145,8 @@ class AmbiguousTracking(RuntimeError):
 
 class NoClosure(RuntimeError):
     """The tracked branch fails to return to its starting state over
-    the period its splitting's parity gives (or the stored loop data
-    violate closure)."""
+    the period its splitting's parity gives.  :class:`LoopTrajectory`
+    raises it, on the ``closure_error`` it is given."""
 
 
 def _turns(split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,17 +268,21 @@ class LoopTrajectory:
     which a different ``c`` can shift by an even number.  The state
     arrays have shape ``(m, 2)``; the loop stores them as transposed
     views of component-major ``(2, m)`` arrays, so ``states.T[0]`` and
-    ``states.T[1]`` are contiguous.  Construction re-validates
-    continuity (no step flips the splitting ``energies -
-    energies_other``, the tracking rule of :func:`_turns`), the
-    left/right pairing rule of the gauge, the
-    normalization ``c @ u = 1`` for the recorded 2-vector ``reference``
-    in every gauge, and closure; violations raise ``ValueError`` or
-    :class:`NoClosure`.  A record of sampled arrays adopts the arrays it
-    is given: a valid construction stores them without a copy where the
-    dtype already matches (``float`` for ``k_grid``, ``complex`` for the
-    rest) and makes them read-only, and a refused one leaves them
-    writeable.
+    ``states.T[1]`` are contiguous.  Construction validates closure
+    first: a ``closure_error`` above ``CLOSURE_TOL`` raises
+    :class:`NoClosure` naming the model and the period, and this record
+    is the one place that judges it.  It then re-validates continuity
+    (no step flips the splitting ``energies - energies_other``, the
+    tracking rule of :func:`_turns`), the left/right pairing rule of
+    the gauge (a self-orthogonal transpose pairing, by
+    :func:`~nhwind.bloch._self_orthogonal`, raises
+    :class:`~nhwind.bloch.GaugeSingular`) and the normalization
+    ``c @ u = 1`` for the recorded 2-vector ``reference`` in every
+    gauge; violations raise ``ValueError``.  A record of sampled arrays
+    adopts the arrays it is given: a valid construction stores them
+    without a copy where the dtype already matches (``float`` for
+    ``k_grid``, ``complex`` for the rest) and makes them read-only, and
+    a refused one leaves them writeable.
     """
 
     model: BlochModel
@@ -308,6 +315,14 @@ class LoopTrajectory:
         step = self.period / m
         if np.max(np.abs(np.diff(k) - step)) > 1e-9:
             raise ValueError("loop samples must be uniformly spaced")
+        if not (np.isfinite(self.closure_error)
+                and self.closure_error >= 0.0):
+            raise ValueError("closure_error must be a non-negative number")
+        if self.closure_error > CLOSURE_TOL:
+            raise NoClosure(
+                f"branch of {self.model.label} fails to close over its "
+                f"{self.period / np.pi:.3g} pi period (final mismatch "
+                f"{self.closure_error:.3e})")
         # Continuity by the tracking rule: no step, the wrap back to
         # k = 0 included, may flip the splitting or tie (a zero
         # splitting ties both of its steps).
@@ -316,17 +331,15 @@ class LoopTrajectory:
         if np.any(flip | tie):
             raise ValueError("stored samples are not a continuously "
                              "tracked branch")
-        pairing = _dot(l.T, u.T)
         if _GAUGES[self.gauge][1]:
             if not np.array_equal(l, u):
                 raise ValueError("transpose-gauge loops store left_states "
                                  "equal to states verbatim")
-            norms_sq = np.abs(u.T[0]) ** 2 + np.abs(u.T[1]) ** 2
-            if np.any(np.abs(pairing) < GAUGE_TOL * norms_sq):
+            if np.any(_self_orthogonal(u.T)):
                 raise GaugeSingular(
                     f"gauge {self.gauge.value!r}: stored loop contains a "
                     f"self-orthogonal transpose pairing")
-        elif np.max(np.abs(pairing - 1.0)) > 1e-9:
+        elif np.max(np.abs(_dot(l.T, u.T) - 1.0)) > 1e-9:
             raise ValueError("stored left/right pairs are not "
                              "biorthonormalized")
         if np.shape(self.reference) != (2,):
@@ -336,13 +349,6 @@ class LoopTrajectory:
         if np.max(np.abs(_project(c, u.T) - 1.0)) > 1e-9:
             raise ValueError("stored states are not normalized to "
                              "c @ u = 1")
-        if not (np.isfinite(self.closure_error)
-                and self.closure_error >= 0.0):
-            raise ValueError("closure_error must be a non-negative number")
-        if self.closure_error > CLOSURE_TOL:
-            raise NoClosure(
-                f"loop endpoint misses its start by {self.closure_error:.3e} "
-                f"(tolerance {CLOSURE_TOL:.0e})")
         _adopt(self, "k_grid", dtype=float)
         _adopt(self, "energies", "energies_other", "states", "left_states",
                "reference", dtype=complex)
@@ -357,12 +363,11 @@ class LoopTrajectory:
         return self.period / self.k_grid.size
 
 
-def _zone_step(grid_size: int) -> float:
+def _zone_step(grid_size: int, name: str = "grid_size") -> float:
     """Momentum step of a zone of ``grid_size`` samples, which must be
-    even and at least 64."""
+    even and at least 64; the refusal calls the value ``name``."""
     if grid_size < 64 or grid_size % 2:
-        raise ValueError(f"grid_size must be even and >= 64, "
-                         f"got {grid_size}")
+        raise ValueError(f"{name} must be even and >= 64, got {grid_size}")
     return 2.0 * np.pi / grid_size
 
 
@@ -380,18 +385,18 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
     over the zone-one samples the parity read already holds, where a
     scalar sample, an exceptional point and then a tie meet the
     tracker's checks in that order.  The detected period is the
-    ``period`` field of the returned trajectory, and closure is checked
-    on it.  ``grid_size`` is the number of samples per Brillouin zone
-    and must be even and at least 64.  The trajectory records the
-    gauge's spinor ``c`` as its ``reference``.  The default gauge is the
-    smooth one, which picks ``c`` over the tracked samples; it
-    integrates loops such as the Hermitian topological chain on which
-    every component gauge has a pole.  Closure compares the energy and
-    the gauge-fixed state ``u``.
-    Raises :class:`NoClosure` if the state does not return over that
-    period, :class:`AmbiguousTracking` on a scalar sample or a splitting
-    tie, and
-    :class:`~nhwind.bloch.Defective` /
+    ``period`` field of the returned trajectory.  ``grid_size`` is the
+    number of samples per Brillouin zone and must be even and at least
+    64.  The trajectory records the gauge's spinor ``c`` as its
+    ``reference``.  The default gauge is the smooth one, which picks
+    ``c`` over the tracked samples; it integrates loops such as the
+    Hermitian topological chain on which every component gauge has a
+    pole.  This function measures closure, the mismatch of the energy
+    and the gauge-fixed state ``u`` at the period, as ``closure_error``,
+    and the returned :class:`LoopTrajectory` judges it: the record
+    raises :class:`NoClosure` if the state does not return over that
+    period.  Raises :class:`AmbiguousTracking` on a scalar sample or a
+    splitting tie, and :class:`~nhwind.bloch.Defective` /
     :class:`~nhwind.bloch.GaugeSingular` on per-sample pathologies.
     """
     step = _zone_step(grid_size)
@@ -410,16 +415,12 @@ def loop_period(model: BlochModel, grid_size: int = 8192,
     err_e = abs(e_t[-1] - e_t[0]) / max(1.0, abs(e_t[0]))
     err_u = (np.max(abs(u[:, -1] - u[:, 0]))
              / max(1.0, np.max(abs(u[:, 0]))))
-    closure = float(max(err_e, err_u))
-    if closure > CLOSURE_TOL:
-        raise NoClosure(
-            f"branch of {model.label} fails to close over its "
-            f"{2 * zones} pi period (final mismatch {closure:.3e})")
     return LoopTrajectory(
         model=model, gauge=gauge, start_band=start_band,
         period=zones * 2.0 * np.pi, k_grid=k_inc[:-1], energies=e_t[:-1],
         energies_other=e_o[:-1], states=u[:, :-1].T,
-        left_states=l[:, :-1].T, closure_error=closure, reference=c)
+        left_states=l[:, :-1].T, closure_error=float(max(err_e, err_u)),
+        reference=c)
 
 
 def _analytic_du(dh: np.ndarray, u: np.ndarray, split: np.ndarray,
@@ -441,11 +442,11 @@ def _analytic_du(dh: np.ndarray, u: np.ndarray, split: np.ndarray,
 
 
 def _check_derivative(derivative: str) -> str:
-    """``derivative`` itself if it names a derivative mode, else
+    """``derivative`` itself if it is one of ``DERIVATIVES``, else
     ``ValueError``; callers check it before tracking anything."""
-    if derivative not in ("analytic", "fd4"):
-        raise ValueError(f"derivative must be 'analytic' or 'fd4', "
-                         f"got {derivative!r}")
+    if derivative not in DERIVATIVES:
+        raise ValueError("derivative must be {!r} or {!r}, got {!r}".format(
+            *DERIVATIVES, derivative))
     return derivative
 
 
@@ -470,18 +471,22 @@ def _connection(l: np.ndarray, u: np.ndarray, du: np.ndarray, dk: float,
     component-major vectors, refused with
     :class:`~nhwind.bloch.GaugeSingular` when one sample would
     contribute more than ``POLE_TOL`` to the integral over steps ``dk``.
-    Only a component gauge's refusal recommends the smooth gauge.
+    A component gauge's refusal names both causes, since it cannot
+    tell them apart: a pinned component that crosses zero, which the
+    smooth gauge integrates through, or a peak near an exceptional
+    point that the grid under-resolves, which a finer grid resolves.
     """
     f = _dot(l, du) / _dot(l, u)
     worst = float(np.max(np.abs(f))) * dk
     if not np.isfinite(worst) or worst > POLE_TOL:
-        advice = "" if gauge is Gauge.SMOOTH else (
-            "; no grid refinement can resolve this in a component gauge; "
-            "the smooth gauge ('smooth') integrates through a component "
-            "that only crosses zero")
+        causes = "" if gauge is Gauge.SMOOTH else (
+            "; either a pinned component crosses zero there (the "
+            "library's smooth gauge integrates through it) or a peak near "
+            "an exceptional point is under-resolved (a finer grid "
+            "resolves it)")
         raise GaugeSingular(
             f"connection pole between grid points: one sample "
-            f"contributes {worst:.3g} to the integral{advice}")
+            f"contributes {worst:.3g} to the integral{causes}")
     return f
 
 
@@ -525,10 +530,11 @@ def winding_lee(traj: LoopTrajectory, lee_normalization: float,
     return winding_number(berry_phase(traj, derivative)) / lee_normalization
 
 
-def _check_normalization(lee_normalization: float) -> None:
-    if lee_normalization == 0 or not np.isfinite(lee_normalization):
-        raise ValueError(f"lee_normalization must be finite and nonzero, "
-                         f"got {lee_normalization!r}")
+def _check_normalization(value: float, name: str = "lee_normalization"):
+    """Refuse a zero or non-finite normalization ``value``, calling it
+    ``name``."""
+    if value == 0 or not np.isfinite(value):
+        raise ValueError(f"{name} must be finite and nonzero, got {value!r}")
 
 
 def band_winding(model: BlochModel, band: Band = Band.PLUS,

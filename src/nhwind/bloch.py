@@ -94,7 +94,7 @@ class GaugeSingular(RuntimeError):
     Raised when the spinor a gauge pins ``c . u = 1`` with vanishes on a
     state (in the smooth gauge: when every candidate does), when the
     transpose pairing ``u^T u`` vanishes (self-orthogonal state), or
-    when a Berry connection develops a pole that no grid can resolve.
+    when a Berry connection develops a pole between grid points.
     The message names the gauge and which of these causes applies.
     """
 
@@ -324,6 +324,16 @@ def _pin(unit: np.ndarray, gauge: Gauge) -> tuple[np.ndarray, np.ndarray]:
     return u, c
 
 
+def _self_orthogonal(u: np.ndarray) -> np.ndarray:
+    """Per sample of the component-major ``u``, whether its transpose
+    pairing vanishes: ``|u^T u| < GAUGE_TOL (|u_0|^2 + |u_1|^2)``.
+
+    The one test of a self-orthogonal state, for :func:`_fix_gauge` and
+    for the stored loops of :class:`~nhwind.berry.LoopTrajectory`.
+    """
+    return abs(_dot(u, u)) < GAUGE_TOL * (abs(u[0]) ** 2 + abs(u[1]) ** 2)
+
+
 def _fix_gauge(unit: np.ndarray, unit_other: np.ndarray, gauge: Gauge,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right vectors, left vectors and reference spinor in ``gauge``.
@@ -339,8 +349,7 @@ def _fix_gauge(unit: np.ndarray, unit_other: np.ndarray, gauge: Gauge,
     """
     u, c = _pin(unit, gauge)
     if _GAUGES[gauge][1]:
-        pairing = _dot(u, u)
-        bad = abs(pairing) < GAUGE_TOL * (abs(u[0]) ** 2 + abs(u[1]) ** 2)
+        bad = _self_orthogonal(u)
         if np.any(bad):
             raise GaugeSingular(
                 f"gauge {gauge.value!r}: self-orthogonal transpose "
@@ -422,6 +431,14 @@ class BlochModel:
         return self.hop_minus, self.hop_zero, self.hop_plus
 
 
+def _check_finite(value: float, name: str) -> None:
+    """Refuse a non-finite parameter with ``ValueError``, naming it
+    ``name``: :func:`lee` passes its argument names, the command line
+    its flags."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def lee(v: float = 0.52, r: float = 0.5, gamma: float = 1.0) -> BlochModel:
     """Non-Hermitian chain with asymmetric on-site gain/loss.
 
@@ -434,8 +451,7 @@ def lee(v: float = 0.52, r: float = 0.5, gamma: float = 1.0) -> BlochModel:
     winds once around zero.
     """
     for name, value in (("v", v), ("r", r), ("gamma", gamma)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+        _check_finite(value, name)
     hop_zero = v * SIGMA_X + 0.5j * gamma * SIGMA_Z
     hop_plus = 0.5 * r * SIGMA_X - 0.5j * r * SIGMA_Z
     hop_minus = 0.5 * r * SIGMA_X + 0.5j * r * SIGMA_Z

@@ -16,21 +16,25 @@ column's dtype alone decides its form: complex columns become
 ``re_``/``im_`` pairs in CSV and ``{"re", "im"}`` cells in JSON, floats
 print as ``%.17g``, integers as integers.
 
-Each layer checks what only it can.  The parser's ``choices=`` refuses
-unknown names (model, gauge, band, derivative, boundary, side, format)
-and exits 2 itself.  :func:`_check` refuses the flag values a choices
-list cannot express: a non-finite ``--v/--r/--gamma``, an odd or
-coarse ``--grid``, ``--n`` below 1, a malformed or non-positive
-``--n-list`` and a zero or non-finite ``--lee-normalization``.  The
-library re-checks its own inputs for library callers; the handlers
-read the parsed namespace directly.
+The CLI calls the library's checks instead of restating them.  Each
+``choices=`` list is read from the library name list it offers
+(``Gauge`` less its library-only ``smooth``, ``Band``,
+``berry.DERIVATIVES``, ``Boundary``, ``lattice.SIDES``); the parser
+refuses unknown names and exits 2 itself.  :func:`_check` refuses the
+values a choices list cannot express by calling the library's own
+check with the flag's name, so the message is the library's: a
+non-finite ``--v/--r/--gamma``, an odd or coarse ``--grid``, ``--n``
+below 1 and a zero or non-finite ``--lee-normalization``.  Only a
+malformed or non-positive ``--n-list`` is the CLI's own refusal.  The
+handlers read the parsed namespace directly.
 
 Exit codes come from ``_EXIT_CODES``, which maps each refusal class to
 its code in order; the first class the error is an instance of wins.
 An unwritable ``--out`` path exits 2 with its own message.
     0  success
     2  usage or validation error
-    3  gauge singularity (including unresolvable connection poles)
+    3  gauge singularity (including connection poles between grid
+       points)
     4  ambiguous branch tracking
     5  branch fails to close
     6  solver failure (defective point, unpairable left spectrum,
@@ -47,16 +51,22 @@ import tempfile
 
 import numpy as np
 
-from .bloch import BlochModel, Defective, Gauge, GaugeSingular, demo, lee
-from .berry import (INTEGER_TOL, AmbiguousTracking, NoClosure, band_winding,
+from .bloch import (BlochModel, Defective, Gauge, GaugeSingular,
+                    _check_finite, demo, lee)
+from .berry import (DERIVATIVES, INTEGER_TOL, AmbiguousTracking, Band,
+                    NoClosure, _check_normalization, _zone_step, band_winding,
                     loop_period, winding_report)
-from .lattice import (BALANCING, Boundary, MatchFailure, chain_spectrum,
-                      classify, localization_profile, spectrum_scan)
+from .lattice import (BALANCING, SIDES, Boundary, MatchFailure, _check_cells,
+                      chain_spectrum, classify, localization_profile,
+                      spectrum_scan)
 
 __all__ = ["main"]
 
 # Per-zone normalization constants reductio falls back to per model.
 REDUCTIO_DEFAULT_NORMALIZATION = {"demo": 0.5, "lee": 2.0}
+# --gauge offers every gauge but the smooth one, which is library only
+# (README, "Numerical conventions").
+GAUGE_CHOICES = tuple(g.value for g in Gauge if g is not Gauge.SMOOTH)
 # Exit code per refusal class; the first class that matches wins.
 # LinAlgError subclasses ValueError, so solver failures must come before
 # the generic usage code.
@@ -66,8 +76,9 @@ _EXIT_CODES = {GaugeSingular: 3, AmbiguousTracking: 4, NoClosure: 5,
 
 
 def _check(args: argparse.Namespace) -> None:
-    """Refuse the flag values ``choices=`` cannot express, and parse
-    ``--n-list`` into a tuple of cell counts in place."""
+    """Refuse the flag values ``choices=`` cannot express, by the
+    library's own checks named after the flag, and parse ``--n-list``
+    into a tuple of cell counts in place."""
     if hasattr(args, "n_list"):
         try:
             args.n_list = tuple(
@@ -75,19 +86,14 @@ def _check(args: argparse.Namespace) -> None:
         except ValueError as exc:
             raise ValueError(f"bad --n-list {args.n_list!r}") from exc
     for name in ("v", "r", "gamma"):
-        if not np.isfinite(getattr(args, name)):
-            raise ValueError(f"--{name} must be finite")
-    grid = getattr(args, "grid", 64)
-    if grid < 64 or grid % 2:
-        raise ValueError(f"--grid must be even and >= 64, got {grid}")
-    if getattr(args, "n", 1) < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
+        _check_finite(getattr(args, name), f"--{name}")
+    _zone_step(getattr(args, "grid", 64), "--grid")
+    _check_cells(getattr(args, "n", 1), "--n")
     n_list = getattr(args, "n_list", (1,))
     if not n_list or min(n_list) < 1:
         raise ValueError("--n-list needs positive cell counts")
-    norm = getattr(args, "lee_normalization", None)
-    if norm is not None and (norm == 0 or not np.isfinite(norm)):
-        raise ValueError("--lee-normalization must be finite and nonzero")
+    if getattr(args, "lee_normalization", None) is not None:
+        _check_normalization(args.lee_normalization, "--lee-normalization")
 
 
 def _model(args: argparse.Namespace) -> BlochModel:
@@ -304,10 +310,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="gain/loss strength (lee only)")
 
     def add_loop(p, default_gauge="transpose"):
-        p.add_argument("--gauge", choices=("first", "second", "transpose"),
+        p.add_argument("--gauge", choices=GAUGE_CHOICES,
                        default=default_gauge)
         p.add_argument("--grid", type=int, default=8192,
                        help="samples per Brillouin zone (even, >= 64)")
+
+    def add_chain(p):
+        p.add_argument("--n", type=int, default=30, help="unit cells")
+        p.add_argument("--bc", choices=[b.value for b in Boundary],
+                       default="open")
 
     def add_out(p, default_fmt="csv"):
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
@@ -318,14 +329,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bands", help="tracked loop energies")
     add_model(p)
     add_loop(p)
-    p.add_argument("--band", type=int, choices=(1, -1), default=1)
+    p.add_argument("--band", type=int, choices=[*map(int, Band)], default=1)
     add_out(p)
     p.set_defaults(run=_cmd_bands)
 
     p = sub.add_parser("winding", help="closed-loop winding number")
     add_model(p)
     add_loop(p)
-    p.add_argument("--derivative", choices=("analytic", "fd4"),
+    p.add_argument("--derivative", choices=DERIVATIVES,
                    default="analytic")
     p.add_argument("--lee-normalization", type=float, default=None)
     add_out(p, default_fmt="json")
@@ -335,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="single-zone segment windings of both bands")
     add_model(p)
     add_loop(p)
-    p.add_argument("--derivative", choices=("analytic", "fd4"),
+    p.add_argument("--derivative", choices=DERIVATIVES,
                    default="analytic")
     add_out(p)
     p.set_defaults(run=_cmd_band_windings)
@@ -345,16 +356,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="loop count vs per-zone normalized count, side by side")
     add_model(p)
     add_loop(p, default_gauge="first")
+    defaults = ", ".join(f"{value} for {model}" for model, value
+                         in REDUCTIO_DEFAULT_NORMALIZATION.items())
     p.add_argument("--lee-normalization", type=float, default=None,
-                   help="per-zone constant (default: 0.5 for demo, "
-                            "2.0 for lee)")
+                   help=f"per-zone constant (default: {defaults})")
     add_out(p, default_fmt="json")
     p.set_defaults(run=_cmd_reductio)
 
     p = sub.add_parser("chain", help="spectrum of one finite chain")
     add_model(p)
-    p.add_argument("--n", type=int, default=30, help="unit cells")
-    p.add_argument("--bc", choices=("open", "periodic"), default="open")
+    add_chain(p)
     add_out(p)
     p.set_defaults(run=_cmd_chain)
 
@@ -368,9 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localize",
                        help="site-resolved weights of every eigenstate")
     add_model(p)
-    p.add_argument("--n", type=int, default=30, help="unit cells")
-    p.add_argument("--bc", choices=("open", "periodic"), default="open")
-    p.add_argument("--side", choices=("right", "left"), default="right")
+    add_chain(p)
+    p.add_argument("--side", choices=SIDES, default="right")
     add_out(p)
     p.set_defaults(run=_cmd_localize)
 

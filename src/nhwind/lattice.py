@@ -83,6 +83,8 @@ COMPLEX_IM_THRESHOLD = 1e-2
 # reproducibility.  Hermitian chains (the Hermitian solver) and periodic
 # chains taken from their momentum blocks run no balanced solve.
 BALANCING = "on"
+# The eigenvector sides localization_profile can weigh.
+SIDES = ("right", "left")
 
 
 class Boundary(Enum):
@@ -96,6 +98,12 @@ class MatchFailure(RuntimeError):
     that the biorthogonal system is numerically out of reach."""
 
 
+def _check_cells(n_cells: int, name: str = "n_cells") -> None:
+    """Refuse a cell count below 1, calling it ``name``."""
+    if n_cells < 1:
+        raise ValueError(f"{name} must be >= 1, got {n_cells}")
+
+
 def build_chain(model: BlochModel, n_cells: int,
                 bc: Boundary = Boundary.OPEN) -> np.ndarray:
     """Real-space chain Hamiltonian, shape ``(2 n_cells, 2 n_cells)``.
@@ -107,8 +115,7 @@ def build_chain(model: BlochModel, n_cells: int,
     one- and two-cell rings correct, where wrap and interior couplings
     land on the same block.
     """
-    if n_cells < 1:
-        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
+    _check_cells(n_cells)
     bc = Boundary(bc)
     mm, m0, mp = model.blocks()
     h = np.zeros((2 * n_cells, 2 * n_cells), dtype=complex)
@@ -443,7 +450,8 @@ class LocalizationProfile:
 
 def localization_profile(spectrum: ChainSpectrum, side: str = "right",
                          ) -> LocalizationProfile:
-    """Site-resolved weights of all right or left eigenstates.
+    """Site-resolved weights of all right or left eigenstates; ``side``
+    is one of ``SIDES``.
 
     ``side="left"`` takes the right eigenstates of the transposed
     chain and uses that spectrum directly: participation ratios need no
@@ -453,15 +461,14 @@ def localization_profile(spectrum: ChainSpectrum, side: str = "right",
     :func:`chain_spectrum` solves its own: from the momentum blocks of
     a periodic chain where they serve, densely otherwise.
     """
-    if side == "right":
-        values = spectrum.eigenvalues
-        vectors = spectrum.right_vectors
-    elif side == "left":
+    if side not in SIDES:
+        raise ValueError("side must be {!r} or {!r}, got {!r}".format(
+            *SIDES, side))
+    values, vectors = spectrum.eigenvalues, spectrum.right_vectors
+    if side == "left":
         mm, m0, mp = spectrum.model.blocks()
         values, vectors = _solve(BlochModel(mp.T, m0.T, mm.T),
                                  spectrum.n_cells, spectrum.bc)[:2]
-    else:
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     iprs = ipr(vectors)
     labels = tuple(classify(float(p), spectrum.size) for p in iprs)
     return LocalizationProfile(side=side, eigenvalues=values,

@@ -712,3 +712,66 @@ def test_trajectory_component_gauge_pairing_check(lee_default):
                 else np.array(traj.left_states) / 2.0)
         with pytest.raises(ValueError):
             dataclasses.replace(traj, states=u, left_states=left)
+
+
+def test_pole_refusal_near_an_exceptional_point_names_both_causes():
+    # lee(.751, .5, .5) sits just off the exceptional point at k = pi:
+    # at grid 1024 the connection peak falls between samples in every
+    # gauge, and at grid 8192 every gauge resolves it.  A component
+    # gauge cannot tell that peak from a vanishing component, so its
+    # refusal names both causes and promises neither fix.
+    model = lee(0.751, 0.5, 0.5)
+    for gauge in (Gauge.FIRST_COMPONENT_ONE, Gauge.SECOND_COMPONENT_ONE,
+                  Gauge.TRANSPOSE):
+        with pytest.raises(GaugeSingular) as info:
+            winding_report(model, gauge, 1024)
+        message = str(info.value)
+        assert "crosses zero" in message and "smooth gauge" in message
+        assert "exceptional point" in message and "finer grid" in message
+        assert "no grid refinement" not in message
+    for gauge in Gauge:
+        w = winding_report(model, gauge, 8192).w
+        assert abs(w) < 1e-6, gauge
+
+
+def _transpose_self_orthogonal(traj):
+    # (1, i) has u^T u = 0 and keeps c @ u = 1 for c = e1.
+    u = np.array(traj.states)
+    u[5] = [1.0, 1.0j]
+    return {"states": u, "left_states": u}
+
+
+# Stored-loop refusals of LoopTrajectory: (gauge, field changes, error,
+# message).
+TRAJECTORY_REFUSALS = {
+    "shapes": (Gauge.SMOOTH, lambda t: {
+        "energies_other": np.array(t.energies_other)[:-1]},
+        ValueError, "inconsistent shapes"),
+    "nonzero start": (Gauge.SMOOTH, lambda t: {
+        "k_grid": np.array(t.k_grid) + 0.1},
+        ValueError, "start at k = 0"),
+    "non-positive period": (Gauge.SMOOTH, lambda t: {"period": -t.period},
+                            ValueError, "positive period"),
+    "transpose left != right": (Gauge.TRANSPOSE, lambda t: {
+        "left_states": 2.0 * np.array(t.left_states)},
+        ValueError, "equal to states verbatim"),
+    "self-orthogonal pairing": (Gauge.TRANSPOSE, _transpose_self_orthogonal,
+                                GaugeSingular, "self-orthogonal"),
+}
+
+
+@pytest.mark.parametrize("case", TRAJECTORY_REFUSALS)
+def test_trajectory_refuses_inconsistent_stored_loops(lee_default, case):
+    gauge, changes, error, match = TRAJECTORY_REFUSALS[case]
+    traj = loop_period(lee_default, 512, gauge)
+    with pytest.raises(error, match=match):
+        dataclasses.replace(traj, **changes(traj))
+
+
+def test_trajectory_judges_closure_for_loop_period(monkeypatch, lee_default):
+    # loop_period measures closure and the record refuses it, naming
+    # the model and the period.
+    monkeypatch.setattr(berry, "CLOSURE_TOL", 0.0)
+    with pytest.raises(NoClosure, match=r"branch of lee\(v=0.52,r=0.5,"
+                       r"gamma=1\) fails to close over its 4 pi period"):
+        loop_period(lee_default, 256)

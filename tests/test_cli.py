@@ -6,12 +6,14 @@ import stat
 import numpy as np
 import pytest
 
-from nhwind import (Boundary, Gauge, band_winding, chain_spectrum, classify,
-                    lee, localization_profile, loop_period, spectrum_scan,
-                    winding_report)
-from nhwind.berry import AmbiguousTracking, NoClosure
-from nhwind.cli import main
-from nhwind.lattice import MatchFailure
+from nhwind import (Band, Boundary, Gauge, band_winding, chain_spectrum,
+                    classify, lee, localization_profile, loop_period,
+                    spectrum_scan, winding_report)
+from nhwind.berry import (DERIVATIVES, AmbiguousTracking, NoClosure,
+                          _check_normalization, _zone_step)
+from nhwind.bloch import _check_finite
+from nhwind.cli import _build_parser, main
+from nhwind.lattice import SIDES, MatchFailure, _check_cells
 
 
 def run_cli(capsys, argv):
@@ -216,6 +218,18 @@ def test_out_writes_through_a_symlink(capsys, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
 
 
+def test_out_naming_a_directory_exits_2_and_leaves_no_temp_file(
+        capsys, tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, out, err = run_cli(capsys, ["chain", "--n", "2",
+                                      "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert os.listdir(tmp_path) == ["taken"]
+    assert os.listdir(target) == []
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["winding", "--grid", "63"])
     assert code == 2 and "grid" in err
@@ -305,16 +319,49 @@ CHOICE_REFUSALS = (
     ["chain", "--format", "xml"],
 )
 # Values no choices list can express: main returns 2 and names the flag.
+# Each refusal but --n-list's is the library check's own message, called
+# with the flag's name: (argv, flag, check, value).
+NAN, INF = float("nan"), float("inf")
 VALUE_REFUSALS = (
-    (["winding", "--grid", "63"], "--grid"),
-    (["winding", "--grid", "70001"], "--grid"),
-    (["chain", "--n", "0"], "--n"),
-    (["scan", "--n-list", ""], "--n-list"),
-    (["scan", "--n-list", "0"], "--n-list"),
-    (["winding", "--lee-normalization", "0"], "--lee-normalization"),
-    (["winding", "--v", "nan"], "--v"),
-    (["chain", "--model", "demo", "--v", "nan"], "--v"),
+    (["winding", "--grid", "63"], "--grid", _zone_step, 63),
+    (["winding", "--grid", "70001"], "--grid", _zone_step, 70001),
+    (["chain", "--n", "0"], "--n", _check_cells, 0),
+    (["localize", "--n", "-2"], "--n", _check_cells, -2),
+    (["scan", "--n-list", ""], "--n-list", None, None),
+    (["scan", "--n-list", "0"], "--n-list", None, None),
+    (["winding", "--lee-normalization", "0"], "--lee-normalization",
+     _check_normalization, 0.0),
+    (["reductio", "--lee-normalization", "inf"], "--lee-normalization",
+     _check_normalization, INF),
+    (["winding", "--v", "nan"], "--v", _check_finite, NAN),
+    (["chain", "--model", "demo", "--v", "nan"], "--v", _check_finite, NAN),
+    (["chain", "--r", "inf"], "--r", _check_finite, INF),
+    (["bands", "--gamma", "nan"], "--gamma", _check_finite, NAN),
 )
+
+
+def _choices(command):
+    """``{flag: choices}`` of one subcommand's parser."""
+    sub = next(action for action in _build_parser()._actions
+               if action.dest == "command")
+    return {action.option_strings[0]: list(action.choices)
+            for action in sub.choices[command]._actions
+            if action.choices is not None}
+
+
+def test_choice_lists_are_the_library_names():
+    gauges = [gauge.value for gauge in Gauge if gauge is not Gauge.SMOOTH]
+    owners = {"--gauge": gauges, "--band": [int(band) for band in Band],
+              "--derivative": list(DERIVATIVES),
+              "--bc": [bc.value for bc in Boundary], "--side": list(SIDES)}
+    seen = set()
+    for command in ("bands", "winding", "band-windings", "reductio",
+                    "chain", "scan", "localize"):
+        for flag, choices in _choices(command).items():
+            if flag in owners:
+                assert choices == owners[flag], (command, flag)
+                seen.add(flag)
+    assert seen == set(owners)
 
 
 def test_flag_refusals_exit_2(capsys):
@@ -323,10 +370,14 @@ def test_flag_refusals_exit_2(capsys):
             main(argv)
         assert info.value.code == 2, argv
         assert "invalid choice" in capsys.readouterr().err, argv
-    for argv, flag in VALUE_REFUSALS:
+    for argv, flag, check, value in VALUE_REFUSALS:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == "", argv
         assert err.startswith(f"error: {flag} "), argv
+        if check is not None:
+            with pytest.raises(ValueError) as info:
+                check(value, flag)
+            assert err == f"error: {info.value}\n", argv
 
 
 # The library columns each command prints, for one small argv each.

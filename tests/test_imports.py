@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import nhwind
+from nhwind import berry, bloch, lattice
 
 
 def test_import_pulls_in_no_scipy():
@@ -33,3 +34,14 @@ def test_bloch_and_lattice_import_nothing_from_berry():
                 names = [getattr(node, "module", None) or ""]
                 names += [alias.name for alias in node.names]
                 assert not any("berry" in n for n in names), (name, names)
+
+
+def test_package_names_are_the_modules_lists():
+    # Each module states its public names once; the package re-exports
+    # exactly those, bound to the module's own objects.
+    modules = (bloch, berry, lattice)
+    assert nhwind.__all__ == [name for module in modules
+                              for name in module.__all__] + ["__version__"]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(nhwind, name) is getattr(module, name), name

@@ -469,3 +469,24 @@ def test_pairing_gate_is_scale_free():
                     left_vectors(h)
                 with pytest.raises(MatchFailure, match="condition number"):
                     chain_spectrum(model, n, bc, with_left=True)
+
+
+# Argument refusals of the chain helpers: (call, error, message).
+ARGUMENT_REFUSALS = {
+    "spectral_gap mismatched": (
+        lambda: spectral_gap(np.zeros(4, complex), np.zeros(3)),
+        ValueError, "matching 1-d arrays"),
+    "spectral_gap 2-d": (
+        lambda: spectral_gap(np.zeros((2, 2), complex), np.zeros((2, 2))),
+        ValueError, "matching 1-d arrays"),
+    "left_vectors singular right": (
+        lambda: left_vectors(np.eye(2), np.ones((2, 2))),
+        MatchFailure, "singular"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_REFUSALS)
+def test_chain_helpers_refuse_bad_arguments(case):
+    call, error, match = ARGUMENT_REFUSALS[case]
+    with pytest.raises(error, match=match):
+        call()
