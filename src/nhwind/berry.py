@@ -471,22 +471,25 @@ def _connection(l: np.ndarray, u: np.ndarray, du: np.ndarray, dk: float,
     component-major vectors, refused with
     :class:`~nhwind.bloch.GaugeSingular` when one sample would
     contribute more than ``POLE_TOL`` to the integral over steps ``dk``.
-    A component gauge's refusal names both causes, since it cannot
-    tell them apart: a pinned component that crosses zero, which the
-    smooth gauge integrates through, or a peak near an exceptional
-    point that the grid under-resolves, which a finer grid resolves.
+    The refusal names both causes, since no gauge can tell them apart:
+    a peak near an exceptional point that the grid under-resolves,
+    which a finer grid resolves, or a pinned spinor that vanishes
+    between samples: in a component gauge a pinned component that
+    crosses zero, which the smooth gauge integrates through, in the
+    smooth gauge the reference spinor it picked.
     """
     f = _dot(l, du) / _dot(l, u)
     worst = float(np.max(np.abs(f))) * dk
     if not np.isfinite(worst) or worst > POLE_TOL:
-        causes = "" if gauge is Gauge.SMOOTH else (
-            "; either a pinned component crosses zero there (the "
-            "library's smooth gauge integrates through it) or a peak near "
-            "an exceptional point is under-resolved (a finer grid "
-            "resolves it)")
+        vanishing = ("the picked reference spinor vanishes between samples"
+                     if gauge is Gauge.SMOOTH else
+                     "a pinned component crosses zero there (the library's "
+                     "smooth gauge integrates through it)")
         raise GaugeSingular(
             f"connection pole between grid points: one sample "
-            f"contributes {worst:.3g} to the integral{causes}")
+            f"contributes {worst:.3g} to the integral; either {vanishing} "
+            f"or a peak near an exceptional point is under-resolved (a "
+            f"finer grid resolves it)")
     return f
 
 

@@ -11,7 +11,16 @@ sizes, and the gap shrinks as the chain grows.
 Open chains are diagonalized densely: an exactly Hermitian chain
 (``h == h^dagger`` entry for entry, as at ``gamma = 0`` and for
 ``demo()``) by the Hermitian solver, any other by the general
-non-symmetric one, which balances before its QR sweep.  A periodic
+non-symmetric one, which balances before its QR sweep.  A chain with no
+imaginary part is solved in real arithmetic, and so is every open chain
+of at most ``FRAME_MAX_CELLS`` cells whose model has a real frame: a
+per-cell unitary rotation ``V`` that makes all three blocks real
+(:func:`_real_frame`; every :func:`~nhwind.bloch.lee` model has one, the
+unitary half of its similarity to the Hermitian SSH chain).  Such a
+chain is solved as the chain of the rotated blocks, and its vectors are
+rotated back cell by cell.  The left :func:`localization_profile`, the
+periodic dense fallback below and longer open chains solve their own
+chain, unrotated.  A periodic
 chain is block diagonal in momentum: at ``k_j = 2 pi j / n`` it maps
 the Bloch wave ``e^{i k c} u`` (cell ``c``) to ``e^{i k c} h(k) u``, so
 its spectrum is the closed-form pair of roots of each ``h(k_j)`` from
@@ -78,13 +87,25 @@ LOCALIZED_IPR = 0.1
 EXTENDED_FACTOR = 3.0
 # An eigenvalue counts as genuinely complex above this |Im|.
 COMPLEX_IM_THRESHOLD = 1e-2
-# The non-symmetric dense solver applies a diagonal similarity
-# (balancing) before the QR sweep; recorded in command-line metadata for
-# reproducibility.  Hermitian chains (the Hermitian solver) and periodic
-# chains taken from their momentum blocks run no balanced solve.
+# The non-symmetric dense solver, real or complex, applies a diagonal
+# similarity (balancing) before the QR sweep; recorded in command-line
+# metadata for reproducibility.  Hermitian chains (the Hermitian solver)
+# and periodic chains taken from their momentum blocks run no balanced
+# solve.
 BALANCING = "on"
 # The eigenvector sides localization_profile can weigh.
 SIDES = ("right", "left")
+# A model has a real frame (_real_frame) when its blocks meet the
+# frame's conditions to this multiple of their largest entry.
+FRAME_TOL = 8 * np.finfo(float).eps
+# Open chains of more cells than this keep the complex solve.  Their
+# float64 spectra are round-off in either arithmetic (the exact bulk gap
+# of lee() is 0.714 at every size), and the acceptance suite documents
+# the complex solve's collapse at 800 cells (gap 0.142; the real frame
+# reads 0.27-0.43 there, by the sign convention of the frame).
+FRAME_MAX_CELLS = 400
+# The Pauli matrices sigma_x, sigma_y, sigma_z.
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 class Boundary(Enum):
@@ -133,23 +154,29 @@ def build_chain(model: BlochModel, n_cells: int,
 def eig_dense(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unit right eigenvectors, sorted by (Re, Im).
 
-    Column ``j`` of the returned vectors goes with eigenvalue ``j``.
-    An exactly Hermitian ``h`` (``h == h^dagger`` entry for entry) goes
-    to the Hermitian solver: its eigenvalues are real (imaginary part
-    exactly 0) and its vectors orthonormal, degenerate eigenspaces
-    included.  Any other ``h``, one holding a NaN too, goes to the
-    general solver, which balances the matrix (diagonal similarity)
-    before the QR sweep; eigenvalues are invariant under that scaling.
+    Column ``j`` of the returned vectors goes with eigenvalue ``j``;
+    both arrays are complex.  An exactly Hermitian ``h`` (``h ==
+    h^dagger`` entry for entry) goes to the Hermitian solver: its
+    eigenvalues are real (imaginary part exactly 0) and its vectors
+    orthonormal, degenerate eigenspaces included.  Any other ``h``, one
+    holding a NaN too, goes to the general solver, which balances the
+    matrix (diagonal similarity) before the QR sweep; eigenvalues are
+    invariant under that scaling.  A matrix with no imaginary part is
+    solved in real arithmetic by either solver, so a non-real
+    eigenvalue comes with its exact conjugate and its conjugate vector.
     A failure to converge is re-raised with matrix diagnostics
     attached.
     """
     h = np.asarray(h, dtype=complex)
+    if not np.any(h.imag):
+        h = h.real
     try:
         if np.array_equal(h, h.conj().T):
             values, vectors = np.linalg.eigh(h)
-            values = values.astype(complex)
         else:
             values, vectors = np.linalg.eig(h)
+        values = values.astype(complex, copy=False)
+        vectors = vectors.astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
         norm = float(np.linalg.norm(h)) if h.size else 0.0
         raise np.linalg.LinAlgError(
@@ -377,11 +404,69 @@ def _bloch_waves(model: BlochModel, n_cells: int, with_left: bool = False):
     return values[order], right[:, order], left, blocks
 
 
+def _real_frame(model: BlochModel):
+    """``(V, rotated)``: a 2x2 unitary ``V`` whose per-cell rotation
+    makes every block of ``model`` real, and the model of the rotated
+    blocks ``V^dagger m V``; ``None`` when there is no such ``V``.
+
+    Write each block as ``m = t 1 + (a + i b) . sigma`` with ``a`` and
+    ``b`` real 3-vectors.  With ``V^dagger (n . sigma) V = sigma_y``
+    for a unit ``n``, and ``V^dagger (e . sigma) V`` equal to
+    ``sigma_x`` and ``sigma_z`` for ``e1`` and ``e2 = e1 x n``
+    perpendicular to it, the rotated block is ``[[t + Z, X + beta],
+    [X - beta, t - Z]]`` with ``X = a . e1``, ``Z = a . e2`` and ``beta
+    = b . n``.  It is real exactly when ``t`` is real, every ``a`` is
+    perpendicular to ``n`` and every ``b`` parallel to it.  ``n`` is
+    the unit vector that minimizes ``sum_j (a_j . n)^2 + |b_j x n|^2``,
+    and the three conditions must hold to ``FRAME_TOL`` times the
+    largest block entry (the test runs on the blocks divided by it, so
+    no square over- or underflows).  The rotated blocks are built from
+    the components, not as ``V^dagger m V``, so a chain with
+    ``hop_minus = hop_plus^dagger`` gets an exact transpose and stays
+    exactly Hermitian.  Blocks with no imaginary part get ``V = 1``;
+    on :func:`~nhwind.bloch.lee`, ``n`` is the z axis and ``V`` the
+    rotation ``exp(-i pi sigma_x / 4)`` up to a phase.
+    """
+    blocks = np.stack(model.blocks())
+    if not np.any(blocks.imag):
+        return np.eye(2, dtype=complex), model
+    (m00, m01), (m10, m11) = np.moveaxis(blocks, 0, -1)
+    t = (m00 + m11) / 2
+    c = np.stack([(m01 + m10) / 2, 1j * (m01 - m10) / 2, (m00 - m11) / 2],
+                 axis=-1)
+    scale = np.max(np.abs(blocks))
+    a, b = c.real / scale, c.imag / scale
+    gram = a.T @ a + np.sum(b * b) * np.eye(3) - b.T @ b
+    n = np.linalg.eigh(gram)[1][:, 0]
+    n *= np.sign(n[np.argmax(np.abs(n))])
+    misfit = max(np.max(np.abs(t.imag)) / scale, np.max(np.abs(a @ n)),
+                 np.max(np.abs(np.cross(b, n))))
+    if not misfit <= FRAME_TOL:
+        return None
+    axis = np.eye(3)[np.argmin(np.abs(n))]
+    e1 = axis - (axis @ n) * n
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(e1, n)
+    w = np.linalg.eigh(np.tensordot(e2, PAULI, 1))[1][:, 1]
+    v = np.stack([w, np.tensordot(e1, PAULI, 1) @ w], axis=1)
+    x, z, beta, t = c.real @ e1, c.real @ e2, c.imag @ n, t.real
+    rotated = np.stack([t + z, x + beta, x - beta, t - z], axis=-1)
+    return v, BlochModel(*rotated.reshape(3, 2, 2), label=model.label)
+
+
 def _solve(model: BlochModel, n_cells: int, bc: Boundary,
-           with_left: bool = False):
+           with_left: bool = False, real_frame: bool = True):
     """Eigensystem of one chain, from its momentum blocks where
     :func:`_bloch_waves` can take them and from one dense solve
     otherwise.
+
+    With ``real_frame``, an open chain of at most ``FRAME_MAX_CELLS``
+    cells whose model has a real frame (:func:`_real_frame`) is solved
+    as the chain of the rotated blocks, in real arithmetic, and its
+    vectors (and left rows) are rotated back cell by cell: the rotation
+    is unitary, so norms, participation ratios, condition numbers and
+    singular values are those of the unrotated chain in exact
+    arithmetic.  Every other chain takes the solve of its own chain.
 
     Returns ``(values, right, left, basis)``: eigenvalues and unit right
     vectors in the order of :func:`eig_dense`, the paired left rows with
@@ -393,9 +478,17 @@ def _solve(model: BlochModel, n_cells: int, bc: Boundary,
              if bc is Boundary.PERIODIC else None)
     if waves is not None:
         return waves
+    frame = (_real_frame(model) if real_frame and bc is Boundary.OPEN
+             and n_cells <= FRAME_MAX_CELLS else None)
+    v, model = frame if frame is not None else (None, model)
     h = build_chain(model, n_cells, bc)
     values, right = eig_dense(h)
     left = left_vectors(h, right) if with_left else None
+    if v is not None:
+        right = (v @ right.reshape(n_cells, 2, -1)).reshape(right.shape)
+        if left is not None:
+            left = (left.reshape(-1, n_cells, 2)
+                    @ v.conj().T).reshape(left.shape)
     return values, right, left, right
 
 
@@ -404,9 +497,13 @@ def chain_spectrum(model: BlochModel, n_cells: int,
                    with_left: bool = False) -> ChainSpectrum:
     """Build, diagonalize, and summarize one chain.
 
-    Open chains go through one dense solve; periodic chains are taken
-    from their momentum blocks, or densely when a momentum sample is
-    scalar or an exceptional point.  ``with_left=True`` additionally
+    Open chains go through one dense solve, in real arithmetic where
+    the model has a real frame and the chain has at most
+    ``FRAME_MAX_CELLS`` cells; periodic chains are taken from their
+    momentum blocks, or densely (in the chain's own arithmetic) when a
+    momentum sample is scalar or an exceptional point.  The
+    real-frame solve returns each non-real eigenvalue with its exact
+    conjugate.  ``with_left=True`` additionally
     pairs left eigenvectors (the rows of the inverse right eigenvector
     matrix, per block for periodic chains), which raises
     :class:`MatchFailure` for open skin-effect chains beyond a handful
@@ -457,9 +554,13 @@ def localization_profile(spectrum: ChainSpectrum, side: str = "right",
     chain and uses that spectrum directly: participation ratios need no
     left/right pairing, so this works even where :func:`left_vectors`
     must refuse.  The transposed chain is the chain of the model with
-    blocks ``(hop_plus.T, hop_zero.T, hop_minus.T)``, solved like
-    :func:`chain_spectrum` solves its own: from the momentum blocks of
-    a periodic chain where they serve, densely otherwise.
+    blocks ``(hop_plus.T, hop_zero.T, hop_minus.T)``, solved from the
+    momentum blocks of a periodic chain where they serve, and densely
+    otherwise, always as its own chain: the open left side takes no
+    real frame, so its round-off stays that of the complex solve.  For
+    :func:`~nhwind.bloch.lee` the transposed open chain is the chain
+    mirrored in cell order, so in exact arithmetic the left ratios are
+    the right ones.
     """
     if side not in SIDES:
         raise ValueError("side must be {!r} or {!r}, got {!r}".format(
@@ -468,7 +569,8 @@ def localization_profile(spectrum: ChainSpectrum, side: str = "right",
     if side == "left":
         mm, m0, mp = spectrum.model.blocks()
         values, vectors = _solve(BlochModel(mp.T, m0.T, mm.T),
-                                 spectrum.n_cells, spectrum.bc)[:2]
+                                 spectrum.n_cells, spectrum.bc,
+                                 real_frame=False)[:2]
     iprs = ipr(vectors)
     labels = tuple(classify(float(p), spectrum.size) for p in iprs)
     return LocalizationProfile(side=side, eigenvalues=values,

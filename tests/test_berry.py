@@ -734,6 +734,20 @@ def test_pole_refusal_near_an_exceptional_point_names_both_causes():
         assert abs(w) < 1e-6, gauge
 
 
+def test_smooth_gauge_pole_refusal_names_both_causes():
+    # The smooth gauge refuses lee(.751, .5, .5) at grid 1024 too, and
+    # cannot tell the under-resolved peak from a picked spinor that
+    # vanishes between samples; grid 8192 resolves the peak.
+    model = lee(0.751, 0.5, 0.5)
+    with pytest.raises(GaugeSingular) as info:
+        winding_report(model, Gauge.SMOOTH, 1024)
+    message = str(info.value)
+    assert "picked reference spinor vanishes between samples" in message
+    assert "exceptional point" in message and "finer grid" in message
+    assert "crosses zero" not in message
+    assert abs(winding_report(model, Gauge.SMOOTH, 8192).w) < 1e-6
+
+
 def _transpose_self_orthogonal(traj):
     # (1, i) has u^T u = 0 and keeps c @ u = 1 for c = e1.
     u = np.array(traj.states)

@@ -1,5 +1,6 @@
 """Unit tests for finite-chain construction, spectra, and localization."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from nhwind import (BlochModel, Boundary, ChainSpectrum, MatchFailure,
                     build_chain, chain_spectrum, classify, defectiveness,
                     demo, eig_dense, hk, ipr, lee, left_vectors,
                     localization_profile, spectral_gap, spectrum_scan)
+from nhwind.lattice import FRAME_TOL, _real_frame
 
 # Frozen lee-default observables at 30 cells.
 GAP_30 = 0.716589
@@ -490,3 +492,137 @@ def test_chain_helpers_refuse_bad_arguments(case):
     call, error, match = ARGUMENT_REFUSALS[case]
     with pytest.raises(error, match=match):
         call()
+
+
+def _transposed(model):
+    mm, m0, mp = model.blocks()
+    return BlochModel(mp.T, m0.T, mm.T)
+
+
+SIGMA = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
+         "y": np.array([[0, -1j], [1j, 0]]),
+         "z": np.array([[1, 0], [0, -1]], dtype=complex)}
+# h(k) = (cos k - 1) sigma_x + 0.3, scalar at k = 0.
+SCALAR_AT_0 = BlochModel(0.5 * SIGMA["x"], 0.3 * np.eye(2) - SIGMA["x"],
+                         0.5 * SIGMA["x"])
+LEE_SHIFTED = BlochModel(lee().hop_minus, lee().hop_zero + np.diag([.8, .15]),
+                         lee().hop_plus)
+GENERIC = BlochModel([[0.3, 0.2j], [0.1, -0.4j]],
+                     [[0.5 + 0.1j, 0.2], [0.7j, -0.3]],
+                     [[0.2, -0.1], [0.4j, 0.6]])
+
+
+def _random_su2(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q / np.sqrt(np.linalg.det(q))
+
+
+def test_real_frame_of_lee_chains_is_the_z_axis(rng):
+    # lee's blocks are t 1 + (a + i b) . sigma with a along x and b along
+    # z, so n = z and V^dagger sigma_z V = sigma_y; the rotated blocks are
+    # the real intracell hops v +- gamma/2 and intercell hop r.
+    q = _random_su2(rng)
+    turned = BlochModel(*(q @ b @ q.conj().T for b in lee().blocks()))
+    models = (lee(), lee(0.8, 0.5, 0.7), lee(0.3, 0.5, 0.3),
+              lee(0.9, 0.5, 1.2), lee(gamma=0.0), _transposed(lee()),
+              _transposed(lee(0.6, 0.4, 0.5)), turned)
+    for model in models:
+        v, rotated = _real_frame(model)
+        assert np.abs(v.conj().T @ v - np.eye(2)).max() <= 1e-15
+        scale = max(np.abs(b).max() for b in model.blocks())
+        for block, real in zip(model.blocks(), rotated.blocks()):
+            assert not np.any(real.imag), model
+            assert np.abs(v @ real @ v.conj().T - block).max() \
+                <= FRAME_TOL * scale, model
+        if model is not turned:
+            assert np.abs(v.conj().T @ SIGMA["z"] @ v
+                          - SIGMA["y"]).max() <= 1e-15
+    v, rotated = _real_frame(lee(0.52, 0.5, 1.0))
+    assert np.allclose(rotated.hop_zero.real, [[0, 1.02], [0.02, 0]],
+                       rtol=0, atol=1e-15)
+    assert np.array_equal(rotated.hop_plus, [[0, 0], [0.5, 0]])
+    assert np.array_equal(rotated.hop_minus, [[0, 0.5], [0, 0]])
+
+
+def test_real_frame_of_real_and_frameless_models():
+    for model in (demo(), SCALAR_AT_0):
+        v, rotated = _real_frame(model)
+        assert np.array_equal(v, np.eye(2)) and rotated is model
+    for model in (LEE_SHIFTED, GENERIC):
+        assert _real_frame(model) is None
+        for n in (3, 12):
+            values, right = eig_dense(build_chain(model, n))
+            spectrum = chain_spectrum(model, n)
+            assert np.array_equal(spectrum.eigenvalues, values)
+            assert np.array_equal(spectrum.right_vectors, right)
+
+
+def test_framed_open_chains_are_conjugation_closed_and_small_residual():
+    # The real solve pairs every non-real eigenvalue with its exact
+    # conjugate; its back-rotated vectors solve the complex chain.
+    for model, n in ((lee(), 30), (lee(0.8, 0.5, 0.7), 64), (lee(), 200)):
+        spectrum = chain_spectrum(model, n)
+        values, right = spectrum.eigenvalues, spectrum.right_vectors
+        conj = values.conj()
+        assert np.array_equal(conj[np.lexsort((conj.imag, conj.real))],
+                              values)
+        h = build_chain(model, n)
+        residual = np.linalg.norm(h @ right - right * values, axis=0)
+        assert residual.max() <= 1e-12 * np.linalg.norm(h)
+        assert np.allclose(np.linalg.norm(right, axis=0), 1.0, atol=1e-13)
+        assert np.array_equal(spectrum.iprs, ipr(right))
+
+
+def test_framed_hermitian_open_chain_reaches_the_hermitian_solver(
+        monkeypatch):
+    def no_eig(*args, **kwargs):
+        raise AssertionError("the general solver was called")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    spectrum = chain_spectrum(lee(0.8, 0.5, 0.0), 30)
+    right = spectrum.right_vectors
+    assert np.all(spectrum.eigenvalues.imag == 0.0)
+    assert np.abs(right.conj().T @ right - np.eye(60)).max() <= 1e-13
+
+
+def test_framed_left_rows_pair_with_the_back_rotated_vectors():
+    spectrum = chain_spectrum(lee(), 6, with_left=True)
+    left, right = spectrum.left_vectors, spectrum.right_vectors
+    assert np.abs(left @ right - np.eye(12)).max() <= 1e-10
+    h = build_chain(lee(), 6)
+    residual = np.linalg.norm(left @ h - spectrum.eigenvalues[:, None] * left,
+                              axis=1)
+    assert np.max(residual / np.linalg.norm(left, axis=1)) \
+        <= 1e-12 * np.linalg.norm(h)
+    with pytest.raises(MatchFailure, match="condition number"):
+        chain_spectrum(lee(), 12, with_left=True)
+
+
+def test_framed_open_chains_at_the_float64_extremes_raise_no_warning():
+    reference = chain_spectrum(lee(), 6)
+    for scale in (1e-170, 1e160):
+        model = BlochModel(*(scale * b for b in lee().blocks()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v, _ = _real_frame(model)
+            spectrum = chain_spectrum(model, 6, with_left=True)
+        assert np.array_equal(v, _real_frame(lee())[0])
+        assert np.abs(spectrum.eigenvalues / scale
+                      - reference.eigenvalues).max() <= 1e-12
+        assert np.abs(spectrum.iprs - reference.iprs).max() <= 1e-12
+
+
+def test_left_and_right_open_lee_iprs_agree_where_float64_resolves_them():
+    # The open lee chain's transpose is its mirror in cell order, entry
+    # for entry, so its left states are its right states mirrored and
+    # carry the same participation ratios.  At 10 cells the complex
+    # solve of the transpose and the framed solve agree; at 30 cells
+    # round-off already moves single ratios of the transposed solve by
+    # up to 0.027, which MEDIAN_IPR_LEFT_OPEN_30 records as it is.
+    for n in (10, 30):
+        h = build_chain(lee(), n)
+        mirror = np.arange(2 * n).reshape(n, 2)[::-1].ravel()
+        assert np.array_equal(h.T, h[np.ix_(mirror, mirror)])
+    spectrum = chain_spectrum(lee(), 10)
+    left = localization_profile(spectrum, side="left")
+    assert np.abs(np.sort(left.iprs) - np.sort(spectrum.iprs)).max() < 1e-8

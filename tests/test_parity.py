@@ -76,3 +76,34 @@ def test_one_ulp_is_a_move_and_a_new_message_a_change(digest):
     assert not same
     assert f"loop_period | {raised}:" in report
     assert "cli | chain --n 3 exit: 0 -> 9" in report
+
+
+def test_a_move_from_zero_reads_inf_and_moved_cases_are_named(digest):
+    planted = json.loads(parity.dumps(digest))
+    cases = planted["chain_spectrum"]
+    zero = sorted(case for case, outcome in cases.items()
+                  if outcome.get("max_abs_imag") == {"f": (0.0).hex()})
+    assert len(zero) >= 2
+    for case in zero:
+        cases[case]["max_abs_imag"] = {"f": (1e-300).hex()}
+    report, same = parity.compare(digest, planted)
+    assert not same
+    rows = {line.split()[0]: line for line in report.splitlines()}
+    row = rows["chain_spectrum"]
+    assert f"{len(zero)} moved (max_abs_imag)" in row
+    assert "max rel inf" in row and "1.8e+308" not in report
+    assert f"moved in chain_spectrum: {', '.join(zero)}\n" in report
+    # Past MOVED_CASES_SHOWN cases the list is cut and says how many more.
+    planted = json.loads(parity.dumps(digest))
+    moved = sorted(case for case, outcome in planted["loop_period"].items()
+                   if "error" not in outcome)
+    for case in moved:
+        planted["loop_period"][case] = dict(planted["loop_period"][case],
+                                            closure_error={"f": "0x1.0p-1"})
+    report, _ = parity.compare(digest, planted)
+    shown = parity.MOVED_CASES_SHOWN
+    line = next(line for line in report.splitlines()
+                if line.startswith("moved in loop_period: "))
+    assert len(moved) > shown
+    assert line.endswith(f" and {len(moved) - shown} more")
+    assert line.count("|") == 3 * shown

@@ -9,10 +9,10 @@ Usage, from the repository root::
 The first form runs the sweep and writes its JSON digest.  The second
 also compares it with an older digest, say one written from a checkout
 of the parent commit, and prints one line per quantity: "identical", or
-the largest absolute and relative move over its cases.  Changed error
-classes and messages, exit codes and output bytes are listed below the
-table.  The exit status is 0 when every quantity is identical and 1
-otherwise.
+the largest absolute and relative move over its cases.  The cases that
+moved, and the changed error classes and messages, exit codes and output
+bytes, are listed below the table.  The exit status is 0 when every
+quantity is identical and 1 otherwise.
 
 The sweep runs the ``nhwind`` found on ``PYTHONPATH`` over:
 
@@ -65,6 +65,8 @@ BANDS = (1, -1)
 EIG2_MOMENTA = (0.0, 0.3, 1.7, np.pi, 4.4)
 CHAIN_CELLS = (3, 8, 12)
 MAX_ARRAY_BYTES = 20_000_000
+# The comparison names at most this many moved cases per quantity.
+MOVED_CASES_SHOWN = 12
 # Command lines beyond the benchmark's and the README's code examples:
 # the README's exit-code examples, a few more output paths, and every
 # command in the format no other argv gives it, so each of the 7
@@ -332,7 +334,8 @@ def _move(old, new):
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = np.where(same, 0.0, np.abs(a - b))
         rel = np.where(same, 0.0, diff / np.abs(a))
-    diff, rel = (np.nan_to_num(x, nan=np.inf) for x in (diff, rel))
+    diff, rel = (np.nan_to_num(x, nan=np.inf, posinf=np.inf)
+                 for x in (diff, rel))
     return float(diff.max(initial=0.0)), float(rel.max(initial=0.0))
 
 
@@ -353,16 +356,18 @@ def compare(old: dict, new: dict) -> tuple[str, bool]:
 
     One row per quantity: its case count, how many of them raised, and
     "identical" or the cases that moved (with the fields that moved and
-    the largest absolute and relative move) and that changed in more
-    than numbers.  Each changed case gets a line below the table.
+    the largest absolute and relative move, ``inf`` for a move away
+    from an exact 0) and that changed in more than numbers.  Below the
+    table, one line per quantity names the cases that moved (at most
+    ``MOVED_CASES_SHOWN`` of them), and each changed case gets a line.
     """
     lines = [f"{'quantity':28s} {'cases':>5s} {'raised':>6s}  result"]
-    notes, same = [], True
+    listed, notes, same = [], [], True
     for quantity in sorted(set(old) | set(new)):
         before, after = old.get(quantity, {}), new.get(quantity, {})
         cases = sorted(set(before) | set(after))
         raised = sum("error" in (before.get(c) or after[c]) for c in cases)
-        moved, changed, fields, worst = 0, 0, set(), (0.0, 0.0)
+        moved_cases, changed, fields, worst = [], 0, set(), (0.0, 0.0)
         for case in cases:
             diffs = _diffs(before.get(case), after.get(case))
             moves = [(field, _move(a, b)) for field, a, b in diffs]
@@ -375,7 +380,14 @@ def compare(old: dict, new: dict) -> tuple[str, bool]:
                     fields.add(field)
                     worst = (max(worst[0], move[0]), max(worst[1], move[1]))
             changed += any(move is None for _, move in moves)
-            moved += any(move is not None for _, move in moves)
+            if any(move is not None for _, move in moves):
+                moved_cases.append(case)
+        moved = len(moved_cases)
+        if moved:
+            more = moved - MOVED_CASES_SHOWN
+            listed.append(f"moved in {quantity}: "
+                          f"{', '.join(moved_cases[:MOVED_CASES_SHOWN])}"
+                          f"{f' and {more} more' if more > 0 else ''}")
         same = same and not (moved or changed)
         parts = []
         if moved:
@@ -385,7 +397,7 @@ def compare(old: dict, new: dict) -> tuple[str, bool]:
             parts.append(f"{changed} changed")
         lines.append(f"{quantity:28s} {len(cases):5d} {raised:6d}  "
                      f"{'; '.join(parts) or 'identical'}")
-    return "\n".join(lines + notes) + "\n", same
+    return "\n".join(lines + listed + notes) + "\n", same
 
 
 def _brief(leaf) -> str:
