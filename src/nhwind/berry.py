@@ -121,8 +121,9 @@ INTEGER_TOL = 1e-6
 # A single sample contributing more than this to the connection integral
 # means a pole sits between grid points.
 POLE_TOL = 0.5
-# The ways a connection's d u / d k may be taken (see berry_phase).
-DERIVATIVES = ("analytic", "fd4")
+# How the connection takes d u / d k (:func:`_analytic_du`), recorded in
+# the command line's loop metadata.
+DERIVATIVE = "analytic"
 
 
 class Band(IntEnum):
@@ -441,36 +442,23 @@ def _analytic_du(dh: np.ndarray, u: np.ndarray, split: np.ndarray,
     return np.stack([-c[1] * size, c[0] * size])
 
 
-def _check_derivative(derivative: str) -> str:
-    """``derivative`` itself if it is one of ``DERIVATIVES``, else
-    ``ValueError``; callers check it before tracking anything."""
-    if derivative not in DERIVATIVES:
-        raise ValueError("derivative must be {!r} or {!r}, got {!r}".format(
-            *DERIVATIVES, derivative))
-    return derivative
-
-
-def _connection_samples(traj: LoopTrajectory, derivative: str) -> np.ndarray:
+def _connection_samples(traj: LoopTrajectory) -> np.ndarray:
     """Berry connection f(k) at every stored loop sample."""
-    dk = traj.step
-    u = traj.states.T
-    if _check_derivative(derivative) == "analytic":
-        du = _analytic_du(hk_derivative(traj.model, traj.k_grid), u,
-                          traj.energies - traj.energies_other, traj.reference)
-    else:
-        # Two samples wrapped around each end make the loop's centered
-        # stencil the interior of the segment one.
-        du = _fd4_segment(np.pad(u, ((0, 0), (2, 2)), mode="wrap"),
-                          dk)[:, 2:-2]
-    return _connection(traj.left_states.T, u, du, dk, traj.gauge)
+    return _connection(traj.model, traj.k_grid,
+                       traj.energies - traj.energies_other, traj.states.T,
+                       traj.left_states.T, traj.reference, traj.step,
+                       traj.gauge)
 
 
-def _connection(l: np.ndarray, u: np.ndarray, du: np.ndarray, dk: float,
+def _connection(model: BlochModel, k: np.ndarray, split: np.ndarray,
+                u: np.ndarray, l: np.ndarray, c: np.ndarray, dk: float,
                 gauge: Gauge) -> np.ndarray:
     """Berry connection ``f = (l @ du) / (l @ u)`` per sample of the
-    component-major vectors, refused with
-    :class:`~nhwind.bloch.GaugeSingular` when one sample would
-    contribute more than ``POLE_TOL`` to the integral over steps ``dk``.
+    component-major vectors at momenta ``k``, ``du`` by
+    :func:`_analytic_du` from ``split = E - E_other`` and the spinor
+    ``c``.  Refused with :class:`~nhwind.bloch.GaugeSingular` when one
+    sample would contribute more than ``POLE_TOL`` to the integral over
+    steps ``dk``.
     The refusal names both causes, since no gauge can tell them apart:
     a peak near an exceptional point that the grid under-resolves,
     which a finer grid resolves, or a pinned spinor that vanishes
@@ -478,6 +466,7 @@ def _connection(l: np.ndarray, u: np.ndarray, du: np.ndarray, dk: float,
     crosses zero, which the smooth gauge integrates through, in the
     smooth gauge the reference spinor it picked.
     """
+    du = _analytic_du(hk_derivative(model, k), u, split, c)
     f = _dot(l, du) / _dot(l, u)
     worst = float(np.max(np.abs(f))) * dk
     if not np.isfinite(worst) or worst > POLE_TOL:
@@ -493,21 +482,18 @@ def _connection(l: np.ndarray, u: np.ndarray, du: np.ndarray, dk: float,
     return f
 
 
-def berry_phase(traj: LoopTrajectory, derivative: str = "analytic",
-                ) -> complex:
+def berry_phase(traj: LoopTrajectory) -> complex:
     """Loop Berry phase ``gamma_b = -i * forward connection integral``.
 
     Uses the periodic trapezoid rule (a plain sample mean times the
-    period) on the closed loop.  The default analytic derivative is
+    period) on the closed loop.  The derivative ``d u / d k`` is
     first-order perturbation theory on the stored states, splitting and
     spinor (:func:`_analytic_du`), the same formula in every gauge; it
-    needs ``dh/dk`` and no ``h``.  The ``fd4`` alternative
-    differentiates the stored vectors with a five-point stencil wrapped
-    around the loop.  Either way the connection divides by the stored
+    needs ``dh/dk`` and no ``h``.  The connection divides by the stored
     left/right pairing, so the transpose gauge needs no extra
     normalization step.
     """
-    return _loop_phase(_connection_samples(traj, derivative), traj.step)
+    return _loop_phase(_connection_samples(traj), traj.step)
 
 
 def _loop_phase(f: np.ndarray, dk: float) -> complex:
@@ -520,8 +506,7 @@ def winding_number(gamma_b: complex) -> complex:
     return complex(gamma_b) / np.pi
 
 
-def winding_lee(traj: LoopTrajectory, lee_normalization: float,
-                derivative: str = "analytic") -> complex:
+def winding_lee(traj: LoopTrajectory, lee_normalization: float) -> complex:
     """Loop winding divided by a per-Brillouin-zone normalization.
 
     Computes ``winding_number(berry_phase(traj)) / lee_normalization``.
@@ -530,7 +515,7 @@ def winding_lee(traj: LoopTrajectory, lee_normalization: float,
     this op exists to make that mismatch explicit.
     """
     _check_normalization(lee_normalization)
-    return winding_number(berry_phase(traj, derivative)) / lee_normalization
+    return winding_number(berry_phase(traj)) / lee_normalization
 
 
 def _check_normalization(value: float, name: str = "lee_normalization"):
@@ -542,7 +527,7 @@ def _check_normalization(value: float, name: str = "lee_normalization"):
 
 def band_winding(model: BlochModel, band: Band = Band.PLUS,
                  gauge: Gauge = Gauge.TRANSPOSE, grid_size: int = 8192,
-                 derivative: str = "analytic") -> complex:
+                 ) -> complex:
     """Single-zone segment winding ``w_b = -i/pi * integral over [0, 2 pi]``.
 
     The segment is traversed forward along one tracked branch and makes
@@ -553,14 +538,10 @@ def band_winding(model: BlochModel, band: Band = Band.PLUS,
     step = _zone_step(grid_size)
     band = Band(band)
     gauge = Gauge(gauge)
-    _check_derivative(derivative)
     k_inc = np.arange(grid_size + 1) * step
     e_t, e_o, u, l, c = _tracked_segment(model, k_inc, gauge, band)
-    if derivative == "analytic":
-        du = _analytic_du(hk_derivative(model, k_inc), u, e_t - e_o, c)
-    else:
-        du = _fd4_segment(u, step)
-    return _segment_winding(_connection(l, u, du, step, gauge), step)
+    return _segment_winding(
+        _connection(model, k_inc, e_t - e_o, u, l, c, step, gauge), step)
 
 
 def _segment_winding(f: np.ndarray, dk: float) -> complex:
@@ -568,24 +549,6 @@ def _segment_winding(f: np.ndarray, dk: float) -> complex:
     open segment: the trapezoid rule, endpoints at half weight."""
     integral = dk * (0.5 * f[0] + np.sum(f[1:-1]) + 0.5 * f[-1])
     return complex(-1j * integral / np.pi)
-
-
-def _fd4_segment(u: np.ndarray, dk: float) -> np.ndarray:
-    """Fourth-order derivative along the last (sample) axis of an open
-    segment: centered five-point stencil inside, one-sided five-point
-    stencils at the edges."""
-    du = np.empty_like(u)
-    du[..., 2:-2] = (-u[..., 4:] + 8.0 * u[..., 3:-1] - 8.0 * u[..., 1:-3]
-                     + u[..., :-4]) / (12.0 * dk)
-    du[..., 0] = (-25.0 * u[..., 0] + 48.0 * u[..., 1] - 36.0 * u[..., 2]
-                  + 16.0 * u[..., 3] - 3.0 * u[..., 4]) / (12.0 * dk)
-    du[..., 1] = (-3.0 * u[..., 0] - 10.0 * u[..., 1] + 18.0 * u[..., 2]
-                  - 6.0 * u[..., 3] + u[..., 4]) / (12.0 * dk)
-    du[..., -2] = (3.0 * u[..., -1] + 10.0 * u[..., -2] - 18.0 * u[..., -3]
-                   + 6.0 * u[..., -4] - u[..., -5]) / (12.0 * dk)
-    du[..., -1] = (25.0 * u[..., -1] - 48.0 * u[..., -2] + 36.0 * u[..., -3]
-                   - 16.0 * u[..., -4] + 3.0 * u[..., -5]) / (12.0 * dk)
-    return du
 
 
 @dataclass(frozen=True)
@@ -598,8 +561,7 @@ class SplitWindings:
 
 
 def split_check(model: BlochModel, gauge: Gauge = Gauge.TRANSPOSE,
-                grid_size: int = 8192, derivative: str = "analytic",
-                ) -> SplitWindings:
+                grid_size: int = 8192) -> SplitWindings:
     """Track the full loop, split it at the zone boundary, wind each half.
 
     Each half maps through the same ``-i/pi`` orientation as the full
@@ -608,13 +570,12 @@ def split_check(model: BlochModel, gauge: Gauge = Gauge.TRANSPOSE,
     after a single zone have nothing to split and raise ``ValueError``.
     """
     gauge = Gauge(gauge)
-    _check_derivative(derivative)
     traj = loop_period(model, grid_size=grid_size, gauge=gauge)
     if abs(traj.period - 4.0 * np.pi) > traj.step:
         raise ValueError(
             f"split_check needs a two-zone loop; {model.label} closes "
             f"after {traj.period / np.pi:.3g} pi")
-    f = _connection_samples(traj, derivative)
+    f = _connection_samples(traj)
     half = f.size // 2
     dk = traj.step
     w1 = _segment_winding(f[:half + 1], dk)
@@ -637,8 +598,7 @@ class WindingReport:
     anything else.  ``w_plus``/``w_minus`` are the optional per-band
     single-zone windings (gauge dependent, unlike ``w``).  The refusal
     is a ``ValueError`` that names the grid: a quadrature too coarse for
-    the loop (the ``fd4`` derivative at grid 256 on ``lee()``) is its
-    usual cause.
+    the loop (grid 128 on ``lee(0.8, 0.5, 0.5)``) is its usual cause.
     """
 
     model_label: str
@@ -655,7 +615,7 @@ class WindingReport:
 
     def __post_init__(self) -> None:
         hint = (f"at grid {self.grid_size}: the quadrature is too coarse; "
-                f"a finer --grid or the analytic derivative resolves it")
+                f"a finer --grid resolves it")
         if abs(self.w.imag) > INTEGER_TOL:
             raise ValueError(f"loop winding has imaginary part "
                              f"{self.w.imag:.3e} {hint}")
@@ -667,7 +627,6 @@ class WindingReport:
 def winding_report(model: BlochModel, gauge: Gauge = Gauge.TRANSPOSE,
                    grid_size: int = 8192,
                    lee_normalization: float | None = None,
-                   derivative: str = "analytic",
                    with_bands: bool = False) -> WindingReport:
     """Track the loop, integrate, and assemble a validated report.
 
@@ -675,18 +634,16 @@ def winding_report(model: BlochModel, gauge: Gauge = Gauge.TRANSPOSE,
     band windings (independent quadratures, not halves of the loop).
     """
     gauge = Gauge(gauge)
-    _check_derivative(derivative)
     if lee_normalization is not None:
         _check_normalization(lee_normalization)
     traj = loop_period(model, grid_size=grid_size, gauge=gauge)
-    gamma_b = berry_phase(traj, derivative=derivative)
+    gamma_b = berry_phase(traj)
     w = winding_number(gamma_b)
     w_lee = None if lee_normalization is None else w / lee_normalization
     w_plus = w_minus = None
     if with_bands:
-        w_plus = band_winding(model, Band.PLUS, gauge, grid_size, derivative)
-        w_minus = band_winding(model, Band.MINUS, gauge, grid_size,
-                               derivative)
+        w_plus, w_minus = (band_winding(model, band, gauge, grid_size)
+                           for band in Band)
     return WindingReport(
         model_label=model.label, gauge=gauge, grid_size=grid_size,
         period=traj.period, raw_integral=-1j * gamma_b, gamma_b=gamma_b,

@@ -18,15 +18,15 @@ print as ``%.17g``, integers as integers.
 
 The CLI calls the library's checks instead of restating them.  Each
 ``choices=`` list is read from the library name list it offers
-(``Gauge`` less its library-only ``smooth``, ``Band``,
-``berry.DERIVATIVES``, ``Boundary``, ``lattice.SIDES``); the parser
-refuses unknown names and exits 2 itself.  :func:`_check` refuses the
-values a choices list cannot express by calling the library's own
-check with the flag's name, so the message is the library's: a
-non-finite ``--v/--r/--gamma``, an odd or coarse ``--grid``, ``--n``
-below 1 and a zero or non-finite ``--lee-normalization``.  Only a
-malformed or non-positive ``--n-list`` is the CLI's own refusal.  The
-handlers read the parsed namespace directly.
+(``Gauge`` less its library-only ``smooth``, ``Band``, ``Boundary``,
+``lattice.SIDES``); the parser refuses unknown names and exits 2
+itself.  :func:`_check` refuses the values a choices list cannot
+express by calling the library's own check with the flag's name, so
+the message is the library's: a non-finite ``--v/--r/--gamma``, an odd
+or coarse ``--grid``, ``--n`` below 1 and a zero or non-finite
+``--lee-normalization``.  Only a malformed or non-positive
+``--n-list`` is the CLI's own refusal.  The handlers read the parsed
+namespace directly.
 
 Exit codes come from ``_EXIT_CODES``, which maps each refusal class to
 its code in order; the first class the error is an instance of wins.
@@ -53,7 +53,7 @@ import numpy as np
 
 from .bloch import (BlochModel, Defective, Gauge, GaugeSingular,
                     _check_finite, demo, lee)
-from .berry import (DERIVATIVES, INTEGER_TOL, AmbiguousTracking, Band,
+from .berry import (DERIVATIVE, INTEGER_TOL, AmbiguousTracking, Band,
                     NoClosure, _check_normalization, _zone_step, band_winding,
                     loop_period, winding_report)
 from .lattice import (BALANCING, SIDES, Boundary, MatchFailure, _check_cells,
@@ -118,11 +118,10 @@ def _cmd_bands(args: argparse.Namespace):
 def _cmd_winding(args: argparse.Namespace):
     rep = winding_report(_model(args), gauge=Gauge(args.gauge),
                          grid_size=args.grid,
-                         lee_normalization=args.lee_normalization,
-                         derivative=args.derivative)
+                         lee_normalization=args.lee_normalization)
     meta = {
         "command": "winding", "model": rep.model_label, "gauge": args.gauge,
-        "grid_size": args.grid, "derivative": args.derivative,
+        "grid_size": args.grid, "derivative": DERIVATIVE,
     }
     table = {"period_over_pi": [rep.period / np.pi],
              "raw_integral": [rep.raw_integral], "gamma_b": [rep.gamma_b],
@@ -135,14 +134,12 @@ def _cmd_winding(args: argparse.Namespace):
 
 def _cmd_band_windings(args: argparse.Namespace):
     model = _model(args)
-    w_plus = band_winding(model, band=+1, gauge=Gauge(args.gauge),
-                          grid_size=args.grid, derivative=args.derivative)
-    w_minus = band_winding(model, band=-1, gauge=Gauge(args.gauge),
-                           grid_size=args.grid, derivative=args.derivative)
+    w_plus, w_minus = (band_winding(model, band, Gauge(args.gauge), args.grid)
+                       for band in Band)
     meta = {
         "command": "band-windings", "model": model.label,
         "gauge": args.gauge, "grid_size": args.grid,
-        "derivative": args.derivative,
+        "derivative": DERIVATIVE,
     }
     return meta, {"band": ["plus", "minus", "sum"],
                   "winding": [w_plus, w_minus, w_plus + w_minus]}
@@ -336,8 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("winding", help="closed-loop winding number")
     add_model(p)
     add_loop(p)
-    p.add_argument("--derivative", choices=DERIVATIVES,
-                   default="analytic")
     p.add_argument("--lee-normalization", type=float, default=None)
     add_out(p, default_fmt="json")
     p.set_defaults(run=_cmd_winding)
@@ -346,8 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="single-zone segment windings of both bands")
     add_model(p)
     add_loop(p)
-    p.add_argument("--derivative", choices=DERIVATIVES,
-                   default="analytic")
     add_out(p)
     p.set_defaults(run=_cmd_band_windings)
 

@@ -443,17 +443,37 @@ def test_quadrature_converges_on_grid_doubling():
         assert abs(g1 - g2) < 1e-8
 
 
-def test_fd4_derivative_agrees_with_analytic(lee_default):
-    for model in (lee_default, lee(0.6, 0.4, 0.5)):
-        for gauge in Gauge:
-            where = (model.label, gauge.value)
-            traj = loop_period(model, 4096, gauge)
-            assert abs(berry_phase(traj, derivative="fd4")
-                       - berry_phase(traj)) < 1e-9, where
-            w4 = band_winding(model, Band.PLUS, gauge, 4096,
-                              derivative="fd4")
-            wa = band_winding(model, Band.PLUS, gauge, 4096)
-            assert abs(w4 - wa) < 1e-6, where
+def _finite_difference_connection(traj):
+    """Connection samples of a stored loop with ``d u / d k`` taken by the
+    centered five-point difference of ``traj.states``, periodic around
+    the closed loop."""
+    u, l = traj.states.T, traj.left_states.T
+    ahead = [np.roll(u, -n, axis=1) for n in (1, 2)]
+    behind = [np.roll(u, n, axis=1) for n in (1, 2)]
+    du = (8.0 * (ahead[0] - behind[0]) - (ahead[1] - behind[1])) / (
+        12.0 * traj.step)
+    return np.sum(l * du, axis=0) / np.sum(l * u, axis=0)
+
+
+# The Hermitian topological loop has a pole in every gauge but smooth.
+@pytest.mark.parametrize("model, gauges", [
+    (lee(), tuple(Gauge)), (lee(0.6, 0.4, 0.5), tuple(Gauge)),
+    (lee(0.3, 0.5, 0.0), (Gauge.SMOOTH,))],
+    ids=["lee()", "lee(.6,.4,.5)", "lee(.3,.5,0)-smooth"])
+def test_analytic_derivative_matches_finite_difference(model, gauges):
+    # The loop phase from the stored states alone, and the PLUS band
+    # winding from the loop's first zone: its trapezoid over the zone's
+    # grid + 1 samples, through the wrap on an unbraided loop.
+    grid = 4096
+    for gauge in gauges:
+        traj = loop_period(model, grid, gauge)
+        f = _finite_difference_connection(traj)
+        assert abs(-1j * traj.step * np.sum(f)
+                   - berry_phase(traj)) < 1e-9, gauge
+        zone = np.append(f, f)[:grid + 1]
+        w_plus = -1j * traj.step * (np.sum(zone) - (zone[0] + zone[-1]) / 2)
+        assert abs(w_plus / np.pi - band_winding(
+            model, Band.PLUS, gauge, grid)) < 1e-6, gauge
 
 
 @pytest.mark.parametrize("gauge, pinned", [
@@ -477,21 +497,14 @@ def test_berry_phase_of_a_stored_loop_evaluates_no_hamiltonian(
     # The analytic derivative needs dh/dk and the stored states,
     # splitting and spinor; h itself is never evaluated again.
     loops = [loop_period(lee_default, 512, gauge) for gauge in Gauge]
-    expected = [(berry_phase(t), berry_phase(t, "fd4")) for t in loops]
+    expected = [berry_phase(t) for t in loops]
 
     def no_hk(*args, **kwargs):
         raise AssertionError("berry_phase evaluated h(k)")
 
     monkeypatch.setattr("nhwind.berry.hk", no_hk)
-    for traj, (analytic, fd4) in zip(loops, expected):
-        assert berry_phase(traj) == analytic
-        assert berry_phase(traj, "fd4") == fd4
-
-
-def test_derivative_mode_is_validated(lee_default):
-    traj = loop_period(lee_default, 512)
-    with pytest.raises(ValueError):
-        berry_phase(traj, derivative="fd2")
+    for traj, gamma_b in zip(loops, expected):
+        assert berry_phase(traj) == gamma_b
 
 
 def test_arguments_are_checked_before_tracking(monkeypatch, lee_default):
@@ -501,11 +514,6 @@ def test_arguments_are_checked_before_tracking(monkeypatch, lee_default):
     monkeypatch.setattr("nhwind.berry._tracked_segment", no_tracking)
     with pytest.raises(ValueError, match="lee_normalization"):
         winding_report(lee_default, lee_normalization=np.nan)
-    for call in (lambda: winding_report(lee_default, derivative="fd5"),
-                 lambda: band_winding(lee_default, derivative="fd5"),
-                 lambda: split_check(lee_default, derivative="fd5")):
-        with pytest.raises(ValueError, match="derivative"):
-            call()
 
 
 def test_winding_lee_normalization_identities(demo_model):
@@ -553,12 +561,6 @@ def test_default_gauge_records_reference_on_topological_loop():
     assert np.allclose(traj.reference, np.array([1.0, 1.0j]) / np.sqrt(2),
                        rtol=0, atol=1e-15)
     assert np.max(np.abs(traj.states @ traj.reference - 1.0)) < 1e-12
-
-
-def test_default_gauge_fd4_agrees_on_topological_loop():
-    traj = loop_period(lee(0.3, 0.5, 0.0), 4096)
-    assert abs(berry_phase(traj, derivative="fd4")
-               - berry_phase(traj)) < 1e-9
 
 
 def test_default_gauge_nonhermitian_topological_is_odd():

@@ -9,8 +9,8 @@ import pytest
 from nhwind import (Band, Boundary, Gauge, band_winding, chain_spectrum,
                     classify, lee, localization_profile, loop_period,
                     spectrum_scan, winding_report)
-from nhwind.berry import (DERIVATIVES, AmbiguousTracking, NoClosure,
-                          _check_normalization, _zone_step)
+from nhwind.berry import (AmbiguousTracking, NoClosure, _check_normalization,
+                          _zone_step)
 from nhwind.bloch import _check_finite
 from nhwind.cli import _build_parser, main
 from nhwind.lattice import SIDES, MatchFailure, _check_cells
@@ -254,15 +254,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
 
 
 def test_coarse_quadrature_refusal_exits_2_with_a_hint(capsys):
-    # fd4 on 256 samples per zone misses the integer winding by 1.3e-6.
-    code, out, err = run_cli(capsys, ["winding", "--grid", "256",
-                                      "--derivative", "fd4",
-                                      "--gauge", "first"])
+    # 128 samples per zone miss this loop's integer winding by 2.5e-6.
+    model = ["winding", "--v", "0.8", "--r", "0.5", "--gamma", "0.5"]
+    code, out, err = run_cli(capsys, [*model, "--grid", "128"])
     assert code == 2 and out == ""
-    assert "not near-integer at grid 256" in err
-    assert "a finer --grid or the analytic derivative" in err
-    code, _, _ = run_cli(capsys, ["winding", "--grid", "1024",
-                                  "--derivative", "fd4", "--gauge", "first"])
+    assert "not near-integer at grid 128" in err
+    assert err.endswith("a finer --grid resolves it\n")
+    code, _, _ = run_cli(capsys, [*model, "--grid", "256"])
     assert code == 0
 
 
@@ -313,10 +311,15 @@ CHOICE_REFUSALS = (
     ["winding", "--model", "x"],
     ["winding", "--gauge", "x"],
     ["bands", "--band", "0"],
-    ["winding", "--derivative", "fd2"],
     ["chain", "--bc", "x"],
     ["localize", "--side", "x"],
     ["chain", "--format", "xml"],
+)
+# Flags no command takes, the removed --derivative among them: argparse
+# refuses them and exits 2.
+UNKNOWN_FLAGS = (
+    ["winding", "--derivative", "fd2"],
+    ["band-windings", "--derivative", "analytic"],
 )
 # Values no choices list can express: main returns 2 and names the flag.
 # Each refusal but --n-list's is the library check's own message, called
@@ -352,7 +355,6 @@ def _choices(command):
 def test_choice_lists_are_the_library_names():
     gauges = [gauge.value for gauge in Gauge if gauge is not Gauge.SMOOTH]
     owners = {"--gauge": gauges, "--band": [int(band) for band in Band],
-              "--derivative": list(DERIVATIVES),
               "--bc": [bc.value for bc in Boundary], "--side": list(SIDES)}
     seen = set()
     for command in ("bands", "winding", "band-windings", "reductio",
@@ -370,6 +372,11 @@ def test_flag_refusals_exit_2(capsys):
             main(argv)
         assert info.value.code == 2, argv
         assert "invalid choice" in capsys.readouterr().err, argv
+    for argv in UNKNOWN_FLAGS:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
     for argv, flag, check, value in VALUE_REFUSALS:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == "", argv
