@@ -18,10 +18,9 @@ per-cell unitary rotation ``V`` that makes all three blocks real
 (:func:`_real_frame`; every :func:`~nhwind.bloch.lee` model has one, the
 unitary half of its similarity to the Hermitian SSH chain).  Such a
 chain is solved as the chain of the rotated blocks, and its vectors are
-rotated back cell by cell.  The left :func:`localization_profile`, the
-periodic dense fallback below and longer open chains solve their own
-chain, unrotated.  A periodic
-chain is block diagonal in momentum: at ``k_j = 2 pi j / n`` it maps
+rotated back cell by cell.  The periodic dense fallback below and longer
+open chains solve their own chain, unrotated.  A periodic chain is
+block diagonal in momentum: at ``k_j = 2 pi j / n`` it maps
 the Bloch wave ``e^{i k c} u`` (cell ``c``) to ``e^{i k c} h(k) u``, so
 its spectrum is the closed-form pair of roots of each ``h(k_j)`` from
 :mod:`nhwind.bloch`, and its eigenvectors are the unit Bloch waves
@@ -44,11 +43,15 @@ first-order eigenvalue error bound relative to ``|h|_2``,
 chains beyond a handful of cells, the pairing is refused with
 :class:`MatchFailure` instead of returning rows that are no longer left
 eigenvectors.  Participation ratios of the left set do not need pairing
-at all, so :func:`localization_profile` diagonalizes the transpose for
-``side="left"`` and works where pairing must refuse.  The transpose of
-a chain is the chain of the model with blocks ``(hop_plus^T,
-hop_zero^T, hop_minus^T)``, entry for entry (a one-cell ring sums its
-three blocks in another order), so it is solved like any other chain.
+at all, so :func:`localization_profile` takes them for
+``side="left"`` from a solve of their own and works where pairing must
+refuse.  The chain of the model with the transposed blocks
+``(hop_minus^T, hop_zero^T, hop_plus^T)``, mirrored in cell order, is
+the transpose of the chain entry for entry, under both boundaries and
+for a one-cell ring too, so that chain is solved by the same rule as
+any other and its weights are mirrored.  For symmetric blocks (every
+:func:`~nhwind.bloch.lee` model) the transposed model is the model
+itself: the left states are the right ones, mirrored.
 """
 from __future__ import annotations
 
@@ -375,11 +378,8 @@ def _bloch_waves(model: BlochModel, n_cells: int, with_left: bool = False):
     ``blocks`` stacks the ``[u_1(k), u_2(k)]``), or ``None`` where the
     dense path must decide: a sample the closed form does not serve by
     the rule of :func:`~nhwind.bloch._eigenvectors` (scalar ``h(k)``, or
-    eigenvectors parallel to within ``DEFECTIVE_TOL``), and
-    ``n_cells < 1``, which :func:`build_chain` rejects.
+    eigenvectors parallel to within ``DEFECTIVE_TOL``).
     """
-    if n_cells < 1:
-        return None
     k = 2.0 * np.pi * np.arange(n_cells) / n_cells
     h = hk(model, k)
     e1, e2, s = _roots(h)
@@ -455,18 +455,18 @@ def _real_frame(model: BlochModel):
 
 
 def _solve(model: BlochModel, n_cells: int, bc: Boundary,
-           with_left: bool = False, real_frame: bool = True):
+           with_left: bool = False):
     """Eigensystem of one chain, from its momentum blocks where
     :func:`_bloch_waves` can take them and from one dense solve
-    otherwise.
+    otherwise; a cell count below 1 is refused first.
 
-    With ``real_frame``, an open chain of at most ``FRAME_MAX_CELLS``
-    cells whose model has a real frame (:func:`_real_frame`) is solved
-    as the chain of the rotated blocks, in real arithmetic, and its
-    vectors (and left rows) are rotated back cell by cell: the rotation
-    is unitary, so norms, participation ratios, condition numbers and
-    singular values are those of the unrotated chain in exact
-    arithmetic.  Every other chain takes the solve of its own chain.
+    An open chain of at most ``FRAME_MAX_CELLS`` cells whose model has
+    a real frame (:func:`_real_frame`) is solved as the chain of the
+    rotated blocks, in real arithmetic, and its vectors (and left rows)
+    are rotated back cell by cell: the rotation is unitary, so norms,
+    participation ratios, condition numbers and singular values are
+    those of the unrotated chain in exact arithmetic.  Every other
+    chain takes the solve of its own chain.
 
     Returns ``(values, right, left, basis)``: eigenvalues and unit right
     vectors in the order of :func:`eig_dense`, the paired left rows with
@@ -474,11 +474,12 @@ def _solve(model: BlochModel, n_cells: int, bc: Boundary,
     whose singular values are those of the right eigenvector matrix,
     for :func:`defectiveness`.
     """
+    _check_cells(n_cells)
     waves = (_bloch_waves(model, n_cells, with_left)
              if bc is Boundary.PERIODIC else None)
     if waves is not None:
         return waves
-    frame = (_real_frame(model) if real_frame and bc is Boundary.OPEN
+    frame = (_real_frame(model) if bc is Boundary.OPEN
              and n_cells <= FRAME_MAX_CELLS else None)
     v, model = frame if frame is not None else (None, model)
     h = build_chain(model, n_cells, bc)
@@ -551,30 +552,31 @@ def localization_profile(spectrum: ChainSpectrum, side: str = "right",
     is one of ``SIDES``.
 
     ``side="left"`` takes the right eigenstates of the transposed
-    chain and uses that spectrum directly: participation ratios need no
-    left/right pairing, so this works even where :func:`left_vectors`
-    must refuse.  The transposed chain is the chain of the model with
-    blocks ``(hop_plus.T, hop_zero.T, hop_minus.T)``, solved from the
-    momentum blocks of a periodic chain where they serve, and densely
-    otherwise, always as its own chain: the open left side takes no
-    real frame, so its round-off stays that of the complex solve.  For
-    :func:`~nhwind.bloch.lee` the transposed open chain is the chain
-    mirrored in cell order, so in exact arithmetic the left ratios are
-    the right ones.
+    chain: participation ratios need no left/right pairing, so this
+    works even where :func:`left_vectors` must refuse.  Those states are
+    the right eigenstates of the chain of the model with blocks
+    ``(hop_minus.T, hop_zero.T, hop_plus.T)``, mirrored in cell order;
+    that chain is solved by :func:`_solve`, the rule every chain takes,
+    and only its weights are mirrored (the ratios do not depend on the
+    site order).  For symmetric blocks (every :func:`~nhwind.bloch.lee`
+    model) it is the chain itself, so the left eigenvalues and ratios
+    are the right ones and the left weights the right ones mirrored,
+    bit for bit.
     """
     if side not in SIDES:
         raise ValueError("side must be {!r} or {!r}, got {!r}".format(
             *SIDES, side))
     values, vectors = spectrum.eigenvalues, spectrum.right_vectors
+    sites = np.arange(spectrum.size)
     if side == "left":
         mm, m0, mp = spectrum.model.blocks()
-        values, vectors = _solve(BlochModel(mp.T, m0.T, mm.T),
-                                 spectrum.n_cells, spectrum.bc,
-                                 real_frame=False)[:2]
+        values, vectors = _solve(BlochModel(mm.T, m0.T, mp.T),
+                                 spectrum.n_cells, spectrum.bc)[:2]
+        sites = sites.reshape(-1, 2)[::-1].ravel()
     iprs = ipr(vectors)
     labels = tuple(classify(float(p), spectrum.size) for p in iprs)
     return LocalizationProfile(side=side, eigenvalues=values,
-                               probabilities=np.abs(vectors) ** 2,
+                               probabilities=np.abs(vectors[sites]) ** 2,
                                iprs=iprs, labels=labels)
 
 

@@ -10,14 +10,14 @@ from nhwind import (BlochModel, Boundary, ChainSpectrum, MatchFailure,
                     build_chain, chain_spectrum, classify, defectiveness,
                     demo, eig_dense, hk, ipr, lee, left_vectors,
                     localization_profile, spectral_gap, spectrum_scan)
-from nhwind.lattice import FRAME_TOL, _real_frame
+from nhwind.lattice import FRAME_TOL, _real_frame, _solve
 
 # Frozen lee-default observables at 30 cells.
 GAP_30 = 0.716589
 MIDGAP_THRESHOLD_30 = 0.257010
 MEDIAN_IPR_OPEN_30 = 0.3691
 MEDIAN_IPR_PERIODIC_30 = 0.0266
-MEDIAN_IPR_LEFT_OPEN_30 = 0.352743
+MEDIAN_IPR_LEFT_OPEN_30 = 0.369139
 MEDIAN_IPR_LEFT_PERIODIC_30 = 0.026588
 
 
@@ -308,19 +308,24 @@ def test_periodic_spectrum_from_momentum_blocks_matches_dense():
 def test_periodic_left_profile_matches_transposed_dense_solve():
     # Non-degenerate lee(): every eigenvalue of h.T matches one state of
     # the periodic profile, and the two states carry the same
-    # participation ratio.  An open chain's transpose is solved densely,
-    # so there the profile is that solve, bit for bit.
+    # participation ratio.  An open chain's transpose is the chain
+    # mirrored in cell order, so there the profile is the mirrored right
+    # profile, bit for bit, and each mirrored right state solves h.T.
     for bc in (Boundary.PERIODIC, Boundary.OPEN):
         for n in (3, 17, 64):
             spectrum = chain_spectrum(lee(), n, bc)
             profile = localization_profile(spectrum, side="left")
-            values, vectors = eig_dense(build_chain(lee(), n, bc).T)
+            h = build_chain(lee(), n, bc)
             if bc is Boundary.OPEN:
-                assert np.array_equal(profile.eigenvalues, values)
+                states = spectrum.right_vectors[_mirror(n)]
+                assert np.array_equal(profile.eigenvalues,
+                                      spectrum.eigenvalues)
                 assert np.array_equal(profile.probabilities,
-                                      np.abs(vectors) ** 2)
-                assert np.array_equal(profile.iprs, ipr(vectors))
+                                      np.abs(states) ** 2)
+                assert np.array_equal(profile.iprs, spectrum.iprs)
+                _assert_left_states(h, spectrum.eigenvalues, states)
                 continue
+            values, vectors = eig_dense(h.T)
             match = np.argmin(np.abs(profile.eigenvalues[:, None]
                                      - values[None, :]), axis=1)
             assert np.array_equal(np.sort(match), np.arange(2 * n))
@@ -330,25 +335,22 @@ def test_periodic_left_profile_matches_transposed_dense_solve():
 
 
 def test_transposed_blocks_build_the_transposed_chain(rng):
-    # The left profile solves the chain of (hop_plus.T, hop_zero.T,
-    # hop_minus.T) for the transpose of the chain.  That holds entry for
-    # entry, except on a one-cell ring, which sums its three blocks in
-    # another order: there the two agree to one ulp of the summed block
-    # magnitudes.
-    blocks = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-              for _ in range(3)]
-    for model in (lee(), demo(), BlochModel(*blocks)):
-        mm, m0, mp = model.blocks()
-        transposed = BlochModel(mp.T, m0.T, mm.T)
+    # The left profile solves the chain of (hop_minus.T, hop_zero.T,
+    # hop_plus.T) and mirrors it in cell order: that is the transpose
+    # of the chain entry for entry, under both boundaries, one-cell ring
+    # included (it sums its three blocks in the same order).
+    randoms = [BlochModel(*(rng.normal(size=(2, 2))
+                            + 1j * rng.normal(size=(2, 2))
+                            for _ in range(3))) for _ in range(20)]
+    for model in (lee(), demo(), *randoms):
+        transposed = _block_transposed(model)
         for bc in Boundary:
             for n in (1, 2, 3, 8):
-                h = build_chain(model, n, bc)
                 h_t = build_chain(transposed, n, bc)
-                if bc is Boundary.PERIODIC and n == 1:
-                    scale = (abs(mm) + abs(m0) + abs(mp)).T
-                    assert np.all(abs(h_t - h.T) <= np.spacing(scale))
-                else:
-                    assert np.array_equal(h_t, h.T), (model.label, bc, n)
+                mirror = _mirror(n)
+                assert np.array_equal(h_t[np.ix_(mirror, mirror)],
+                                      build_chain(model, n, bc).T), \
+                    (model.label, bc, n)
 
 
 def test_periodic_chain_with_on_grid_exceptional_point_stays_dense():
@@ -366,9 +368,10 @@ def test_periodic_chain_with_on_grid_exceptional_point_stays_dense():
     assert np.array_equal(spectrum.iprs, ipr(right))
     assert spectrum.defectiveness == defectiveness(right)
     profile = localization_profile(spectrum, side="left")
-    left_values, left_states = eig_dense(h.T)
-    assert np.array_equal(profile.eigenvalues, left_values)
-    assert np.array_equal(profile.iprs, ipr(left_states))
+    assert np.array_equal(profile.eigenvalues, values)
+    assert np.array_equal(profile.iprs, ipr(right))
+    assert np.array_equal(profile.probabilities,
+                          np.abs(right[_mirror(4)]) ** 2)
 
 
 def test_periodic_chain_with_scalar_sample_stays_dense():
@@ -484,6 +487,12 @@ ARGUMENT_REFUSALS = {
     "left_vectors singular right": (
         lambda: left_vectors(np.eye(2), np.ones((2, 2))),
         MatchFailure, "singular"),
+    "chain_spectrum 0 open": (
+        lambda: chain_spectrum(lee(), 0, Boundary.OPEN),
+        ValueError, "n_cells must be >= 1, got 0"),
+    "chain_spectrum 0 periodic": (
+        lambda: chain_spectrum(lee(), 0, Boundary.PERIODIC),
+        ValueError, "n_cells must be >= 1, got 0"),
 }
 
 
@@ -499,6 +508,22 @@ def _transposed(model):
     return BlochModel(mp.T, m0.T, mm.T)
 
 
+def _block_transposed(model):
+    return BlochModel(*(block.T for block in model.blocks()))
+
+
+def _mirror(n_cells):
+    """Site order of the chain mirrored in cell order."""
+    return np.arange(2 * n_cells).reshape(n_cells, 2)[::-1].ravel()
+
+
+def _assert_left_states(h, values, states):
+    """Each unit column of ``states`` is a right eigenvector of ``h.T``
+    with backward error at most 1e-12 |h|."""
+    residual = np.linalg.norm(h.T @ states - states * values, axis=0)
+    assert residual.max() <= 1e-12 * np.linalg.norm(h)
+
+
 SIGMA = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
          "y": np.array([[0, -1j], [1j, 0]]),
          "z": np.array([[1, 0], [0, -1]], dtype=complex)}
@@ -510,6 +535,11 @@ LEE_SHIFTED = BlochModel(lee().hop_minus, lee().hop_zero + np.diag([.8, .15]),
 GENERIC = BlochModel([[0.3, 0.2j], [0.1, -0.4j]],
                      [[0.5 + 0.1j, 0.2], [0.7j, -0.3]],
                      [[0.2, -0.1], [0.4j, 0.6]])
+# The lee models of tools/parity.py: braided, Hermitian, unbraided, and
+# lee(.75, .5, .5) with an exceptional point on every even ring.
+LEE_MODELS = tuple(lee(*p) for p in (
+    (), (.7, .5, 0), (.6, .4, .5), (.9, .5, 1.2), (.3, .5, 0),
+    (.3, .5, .3), (.8, .5, 3), (.55, .5, .2), (.75, .5, .5)))
 
 
 def _random_su2(rng):
@@ -613,16 +643,40 @@ def test_framed_open_chains_at_the_float64_extremes_raise_no_warning():
 
 
 def test_left_and_right_open_lee_iprs_agree_where_float64_resolves_them():
-    # The open lee chain's transpose is its mirror in cell order, entry
-    # for entry, so its left states are its right states mirrored and
-    # carry the same participation ratios.  At 10 cells the complex
-    # solve of the transpose and the framed solve agree; at 30 cells
-    # round-off already moves single ratios of the transposed solve by
-    # up to 0.027, which MEDIAN_IPR_LEFT_OPEN_30 records as it is.
-    for n in (10, 30):
-        h = build_chain(lee(), n)
-        mirror = np.arange(2 * n).reshape(n, 2)[::-1].ravel()
-        assert np.array_equal(h.T, h[np.ix_(mirror, mirror)])
-    spectrum = chain_spectrum(lee(), 10)
-    left = localization_profile(spectrum, side="left")
-    assert np.abs(np.sort(left.iprs) - np.sort(spectrum.iprs)).max() < 1e-8
+    # lee's blocks are symmetric, so the left profile solves the chain
+    # itself and mirrors its weights: eigenvalues and participation
+    # ratios are the right ones, bit for bit, at every size.
+    for model in LEE_MODELS:
+        for bc in Boundary:
+            for n in (10, 30, 100):
+                spectrum = chain_spectrum(model, n, bc)
+                left = localization_profile(spectrum, side="left")
+                right = localization_profile(spectrum)
+                tag = (model.label, bc, n)
+                assert np.array_equal(left.eigenvalues,
+                                      spectrum.eigenvalues), tag
+                assert np.array_equal(left.iprs, spectrum.iprs), tag
+                assert np.array_equal(left.probabilities,
+                                      right.probabilities[_mirror(n)]), tag
+
+
+def test_left_profiles_of_models_without_symmetric_blocks():
+    # demo() is real but not symmetric, GENERIC and LEE_SHIFTED have no
+    # real frame: their left profiles come from a solve of their own,
+    # whose mirrored states solve h.T.
+    for model in (demo(), GENERIC, LEE_SHIFTED):
+        for bc in Boundary:
+            for n in (3, 8, 12):
+                spectrum = chain_spectrum(model, n, bc)
+                profile = localization_profile(spectrum, side="left")
+                values, states = _solve(_block_transposed(model), n, bc)[:2]
+                states = states[_mirror(n)]
+                h = build_chain(model, n, bc)
+                tag = (model.label, bc, n)
+                assert np.array_equal(profile.eigenvalues, values), tag
+                assert np.array_equal(profile.probabilities,
+                                      np.abs(states) ** 2), tag
+                _assert_left_states(h, values, states)
+                assert multiset_distance(
+                    values, np.linalg.eigvals(h.T)) \
+                    <= 1e-12 * np.linalg.norm(h, 2), tag
