@@ -44,14 +44,15 @@ chains beyond a handful of cells, the pairing is refused with
 :class:`MatchFailure` instead of returning rows that are no longer left
 eigenvectors.  Participation ratios of the left set do not need pairing
 at all, so :func:`localization_profile` takes them for
-``side="left"`` from a solve of their own and works where pairing must
-refuse.  The chain of the model with the transposed blocks
-``(hop_minus^T, hop_zero^T, hop_plus^T)``, mirrored in cell order, is
-the transpose of the chain entry for entry, under both boundaries and
-for a one-cell ring too, so that chain is solved by the same rule as
-any other and its weights are mirrored.  For symmetric blocks (every
-:func:`~nhwind.bloch.lee` model) the transposed model is the model
-itself: the left states are the right ones, mirrored.
+``side="left"`` from right states and works where pairing must refuse.
+The chain of the model with the transposed blocks ``(hop_minus^T,
+hop_zero^T, hop_plus^T)``, mirrored in cell order, is the transpose of
+the chain entry for entry, under both boundaries and for a one-cell
+ring too.  When every block equals its own transpose (every
+:func:`~nhwind.bloch.lee` model), that model is the model itself: the
+left states are the spectrum's own right states, mirrored, and no
+second solve runs.  Any other model's transposed chain is solved by the
+same rule as any other chain, and its weights are mirrored.
 """
 from __future__ import annotations
 
@@ -142,16 +143,16 @@ def build_chain(model: BlochModel, n_cells: int,
     _check_cells(n_cells)
     bc = Boundary(bc)
     mm, m0, mp = model.blocks()
-    h = np.zeros((2 * n_cells, 2 * n_cells), dtype=complex)
-    for j in range(n_cells):
-        h[2 * j:2 * j + 2, 2 * j:2 * j + 2] += m0
-    for j in range(n_cells - 1):
-        h[2 * j:2 * j + 2, 2 * j + 2:2 * j + 4] += mp
-        h[2 * j + 2:2 * j + 4, 2 * j:2 * j + 2] += mm
+    # h[c, a, d, b] is the entry from site b of cell d to site a of cell c.
+    h = np.zeros((n_cells, 2, n_cells, 2), dtype=complex)
+    cells = np.arange(n_cells)
+    h[cells, :, cells, :] += m0
+    h[cells[:-1], :, cells[1:], :] += mp
+    h[cells[1:], :, cells[:-1], :] += mm
     if bc is Boundary.PERIODIC:
-        h[2 * n_cells - 2:2 * n_cells, 0:2] += mp
-        h[0:2, 2 * n_cells - 2:2 * n_cells] += mm
-    return h
+        h[-1, :, 0, :] += mp
+        h[0, :, -1, :] += mm
+    return h.reshape(2 * n_cells, 2 * n_cells)
 
 
 def eig_dense(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -555,25 +556,29 @@ def localization_profile(spectrum: ChainSpectrum, side: str = "right",
     chain: participation ratios need no left/right pairing, so this
     works even where :func:`left_vectors` must refuse.  Those states are
     the right eigenstates of the chain of the model with blocks
-    ``(hop_minus.T, hop_zero.T, hop_plus.T)``, mirrored in cell order;
-    that chain is solved by :func:`_solve`, the rule every chain takes,
-    and only its weights are mirrored (the ratios do not depend on the
-    site order).  For symmetric blocks (every :func:`~nhwind.bloch.lee`
-    model) it is the chain itself, so the left eigenvalues and ratios
-    are the right ones and the left weights the right ones mirrored,
-    bit for bit.
+    ``(hop_minus.T, hop_zero.T, hop_plus.T)``, mirrored in cell order,
+    and only their weights are mirrored (the ratios do not depend on
+    the site order).  When every block equals its own transpose (every
+    :func:`~nhwind.bloch.lee` model) that chain is the chain itself:
+    the eigenvalues, right states and ratios are taken from
+    ``spectrum`` as they are, with no solve, so the left eigenvalues and
+    ratios are the right ones and the left weights the right ones
+    mirrored, bit for bit.  Any other model's transposed chain is
+    solved by :func:`_solve`, the rule every chain takes.
     """
     if side not in SIDES:
         raise ValueError("side must be {!r} or {!r}, got {!r}".format(
             *SIDES, side))
     values, vectors = spectrum.eigenvalues, spectrum.right_vectors
+    iprs = spectrum.iprs
     sites = np.arange(spectrum.size)
     if side == "left":
-        mm, m0, mp = spectrum.model.blocks()
-        values, vectors = _solve(BlochModel(mm.T, m0.T, mp.T),
-                                 spectrum.n_cells, spectrum.bc)[:2]
+        blocks = spectrum.model.blocks()
+        if not all(np.array_equal(b, b.T) for b in blocks):
+            values, vectors = _solve(BlochModel(*(b.T for b in blocks)),
+                                     spectrum.n_cells, spectrum.bc)[:2]
+            iprs = ipr(vectors)
         sites = sites.reshape(-1, 2)[::-1].ravel()
-    iprs = ipr(vectors)
     labels = tuple(classify(float(p), spectrum.size) for p in iprs)
     return LocalizationProfile(side=side, eigenvalues=values,
                                probabilities=np.abs(vectors[sites]) ** 2,

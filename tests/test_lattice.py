@@ -44,6 +44,31 @@ def test_build_chain_periodic_wrap_accumulates(demo_model, lee_default):
     assert np.array_equal(ring, expected)
 
 
+def test_build_chain_equals_the_cell_by_cell_sum(rng):
+    # Reference: add each block one cell at a time, wrap blocks last.
+    def by_cells(model, n, bc):
+        mm, m0, mp = model.blocks()
+        h = np.zeros((2 * n, 2 * n), dtype=complex)
+        for j in range(n):
+            h[2 * j:2 * j + 2, 2 * j:2 * j + 2] += m0
+        for j in range(n - 1):
+            h[2 * j:2 * j + 2, 2 * j + 2:2 * j + 4] += mp
+            h[2 * j + 2:2 * j + 4, 2 * j:2 * j + 2] += mm
+        if bc is Boundary.PERIODIC:
+            h[2 * n - 2:, :2] += mp
+            h[:2, 2 * n - 2:] += mm
+        return h
+    randoms = [BlochModel(*(rng.normal(size=(2, 2))
+                            + 1j * rng.normal(size=(2, 2))
+                            for _ in range(3))) for _ in range(5)]
+    for model in (lee(), demo(), *randoms):
+        for bc in Boundary:
+            for n in (1, 2, 3, 8, 200):
+                assert np.array_equal(build_chain(model, n, bc),
+                                      by_cells(model, n, bc)), \
+                    (model.label, bc, n)
+
+
 def test_build_chain_validation(lee_default):
     with pytest.raises(ValueError):
         build_chain(lee_default, 0)
@@ -680,3 +705,60 @@ def test_left_profiles_of_models_without_symmetric_blocks():
                 assert multiset_distance(
                     values, np.linalg.eigvals(h.T)) \
                     <= 1e-12 * np.linalg.norm(h, 2), tag
+
+
+def test_symmetric_block_left_profiles_take_no_solve(monkeypatch):
+    # Each block of these models equals its transpose, so the left
+    # profile takes the record's own right states, mirrored, and no
+    # solve: bit for bit what the block-transposed chain's solve gives.
+    cases = [(model, n, bc)
+             for model in (lee(), lee(0.6, 0.4, 0.5), lee(0.7, 0.5, 0.0))
+             for bc in Boundary for n in (3, 8, 30)]
+    expected = [(chain_spectrum(model, n, bc),
+                 *_solve(_block_transposed(model), n, bc)[:2])
+                for model, n, bc in cases]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the left profile solved a chain")
+    monkeypatch.setattr("nhwind.lattice._solve", no_solve)
+    for (model, n, bc), (spectrum, values, states) in zip(cases, expected):
+        profile = localization_profile(spectrum, side="left")
+        tag = (model.label, bc, n)
+        assert np.array_equal(profile.eigenvalues, values), tag
+        assert np.array_equal(profile.probabilities,
+                              np.abs(states[_mirror(n)]) ** 2), tag
+        assert np.array_equal(profile.iprs, ipr(states)), tag
+
+
+def test_left_profiles_of_non_symmetric_blocks_solve_once(monkeypatch, rng):
+    random = BlochModel(*(rng.normal(size=(2, 2))
+                          + 1j * rng.normal(size=(2, 2)) for _ in range(3)))
+    spectra = [chain_spectrum(model, 8, bc)
+               for model in (demo(), random) for bc in Boundary]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _solve(*args, **kwargs)
+    monkeypatch.setattr("nhwind.lattice._solve", counted)
+    for spectrum in spectra:
+        localization_profile(spectrum, side="left")
+        assert len(calls) == 1, (spectrum.model.label, spectrum.bc)
+        calls.clear()
+
+
+def test_mirror_gives_the_pairing_condition_numbers():
+    # Symmetric blocks make h.T the chain mirrored in cell order (P), so
+    # the left eigenvector of lambda_i is P r_i and, for unit r_i, the
+    # condition number that left_vectors implies is 1/|r_i^T P r_i|.
+    for model in (lee(), lee(0.6, 0.4, 0.5), lee(0.8, 0.5, 3.0)):
+        for n in (4, 8):
+            spectrum = chain_spectrum(model, n, with_left=True)
+            left, right = spectrum.left_vectors, spectrum.right_vectors
+            kappa = (np.linalg.norm(left, axis=1)
+                     * np.linalg.norm(right, axis=0)
+                     / np.abs(np.einsum("ij,ji->i", left, right)))
+            mirrored = 1 / np.abs(np.einsum("ji,ji->i", right,
+                                            right[_mirror(n)]))
+            assert np.allclose(kappa, mirrored, rtol=1e-9, atol=0), \
+                (model.label, n)
