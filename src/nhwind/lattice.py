@@ -32,10 +32,10 @@ general.  That choice is made in one place, :func:`_solve`, which
 :func:`chain_spectrum` and the left :func:`localization_profile` share.
 
 Left eigenvectors of strongly non-normal matrices are a conditioning
-trap.  :func:`left_vectors` takes them from the one dense solve, as the
-rows of the inverse of the right eigenvector matrix, which pairs them
-biorthonormally by construction (degenerate eigenvalues included); a
-periodic chain takes the same rows per momentum block.
+trap.  :func:`left_vectors` takes them as the rows of the inverse of the
+right eigenvector matrix, which pairs them biorthonormally by
+construction (degenerate eigenvalues included); :func:`chain_spectrum`
+inverts the spectrum's own right vectors, whichever solve gave them.
 Whether those rows are trustworthy is decided by the per-eigenvalue
 condition numbers ``kappa_i = |l_i| |u_i| / |l_i . u_i|``: when the
 first-order eigenvalue error bound relative to ``|h|_2``,
@@ -56,6 +56,7 @@ same rule as any other chain, and its weights are mirrored.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -124,8 +125,9 @@ class MatchFailure(RuntimeError):
 
 
 def _check_cells(n_cells: int, name: str = "n_cells") -> None:
-    """Refuse a cell count below 1, calling it ``name``."""
-    if n_cells < 1:
+    """Refuse a cell count that is not an integer (``TypeError``, by
+    :func:`operator.index`) or is below 1, calling it ``name``."""
+    if operator.index(n_cells) < 1:
         raise ValueError(f"{name} must be >= 1, got {n_cells}")
 
 
@@ -191,20 +193,21 @@ def eig_dense(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[order], vectors[:, order]
 
 
-def left_vectors(h: np.ndarray, right: np.ndarray | None = None,
+def left_vectors(h: np.ndarray | None, right: np.ndarray | None = None,
                  ) -> np.ndarray:
     """Left eigenvector rows paired so that ``L[i] @ right[:, i] = 1``.
 
-    ``right`` is the vector output of :func:`eig_dense` on ``h`` and is
-    recomputed only when omitted.  The rows are those of
-    ``inv(right)``, biorthonormal to the right vectors by construction.
-    Each pair's condition number ``kappa_i = |l_i| |u_i| / |l_i . u_i|``
-    bounds the first-order error of eigenvalue ``i`` by
-    ``eps |h|_2 kappa_i``; when the worst bound relative to ``|h|_2``,
-    ``eps max kappa_i``, exceeds ``MATCH_TOL``, or ``right`` is
-    singular, :class:`MatchFailure` is raised, because the rows are then
-    no longer left eigenvectors to working precision.  The gate does not
-    change when ``h`` is scaled.
+    ``right`` may be any complete set of unit right eigenvectors of
+    ``h``, as columns in eigenvalue order; ``h`` is read only when
+    ``right`` is omitted, and :func:`eig_dense` then supplies them.
+    The rows are those of ``inv(right)``, biorthonormal to the right
+    vectors by construction.  Each pair's condition number ``kappa_i =
+    |l_i| |u_i| / |l_i . u_i|`` bounds the first-order error of
+    eigenvalue ``i`` by ``eps |h|_2 kappa_i``; when the worst bound
+    relative to ``|h|_2``, ``eps max kappa_i``, exceeds ``MATCH_TOL``,
+    or ``right`` is singular, :class:`MatchFailure` is raised, because
+    the rows are then no longer left eigenvectors to working precision.
+    The gate does not change when ``h`` is scaled.
     """
     if right is None:
         _, right = eig_dense(h)
@@ -217,17 +220,6 @@ def left_vectors(h: np.ndarray, right: np.ndarray | None = None,
     overlap = np.abs(np.einsum("ij,ji->i", left, right))
     kappa = (np.linalg.norm(left, axis=1)
              * np.linalg.norm(right, axis=0) / overlap)
-    _check_pairing(kappa)
-    return left
-
-
-def _check_pairing(kappa: np.ndarray) -> None:
-    """Refuse a left/right pairing whose worst first-order eigenvalue
-    error bound relative to ``|h|_2``, ``eps kappa_i``, exceeds
-    ``MATCH_TOL``.
-
-    ``kappa`` holds the condition numbers in eigenvalue order.
-    """
     worst = int(np.argmax(kappa))
     bound = np.finfo(float).eps * kappa[worst]
     if not bound <= MATCH_TOL:
@@ -236,6 +228,7 @@ def _check_pairing(kappa: np.ndarray) -> None:
             f"so its relative first-order error bound {bound:.3e} exceeds "
             f"{MATCH_TOL:.0e}; the biorthogonal system is not resolvable "
             f"at this size")
+    return left
 
 
 def ipr(vectors: np.ndarray) -> np.ndarray:
@@ -362,24 +355,21 @@ class ChainSpectrum:
         return 2 * self.n_cells
 
 
-def _bloch_waves(model: BlochModel, n_cells: int, with_left: bool = False):
+def _bloch_waves(model: BlochModel, n_cells: int):
     """Eigensystem of the periodic chain from its momentum blocks.
 
     At ``k_j = 2 pi j / n_cells`` the eigenvalues are the closed-form
-    roots of ``h(k_j)``, the right vectors the unit Bloch waves
-    ``e^{i k c} / sqrt(n) (x) u(k)`` and, with ``with_left``, the left
-    vectors the rows ``e^{-i k c} / sqrt(n) (x) l(k)`` with ``l(k)`` a
-    row of ``inv([u_1(k), u_2(k)])``, gated like :func:`left_vectors`.
-    The Fourier factor is unitary, so the condition number of a pair is
-    ``|l(k)|`` and the eigenvector matrix has the singular values of the
-    blocks ``[u_1(k), u_2(k)]``.
+    roots of ``h(k_j)`` and the right vectors the unit Bloch waves
+    ``e^{i k c} / sqrt(n) (x) u(k)``.  The Fourier factor is unitary, so
+    the eigenvector matrix has the singular values of the blocks
+    ``[u_1(k), u_2(k)]``.
 
-    Returns ``(values, right, left, blocks)`` in the order of
-    :func:`eig_dense` (``left`` is ``None`` without ``with_left``;
-    ``blocks`` stacks the ``[u_1(k), u_2(k)]``), or ``None`` where the
-    dense path must decide: a sample the closed form does not serve by
-    the rule of :func:`~nhwind.bloch._eigenvectors` (scalar ``h(k)``, or
-    eigenvectors parallel to within ``DEFECTIVE_TOL``).
+    Returns ``(values, right, blocks)`` in the order of
+    :func:`eig_dense` (``blocks`` stacks the ``[u_1(k), u_2(k)]``), or
+    ``None`` where the dense path must decide: a sample the closed form
+    does not serve by the rule of :func:`~nhwind.bloch._eigenvectors`
+    (scalar ``h(k)``, or eigenvectors parallel to within
+    ``DEFECTIVE_TOL``).
     """
     k = 2.0 * np.pi * np.arange(n_cells) / n_cells
     h = hk(model, k)
@@ -396,13 +386,7 @@ def _bloch_waves(model: BlochModel, n_cells: int, with_left: bool = False):
             / np.sqrt(n_cells))
     size = 2 * n_cells
     right = np.einsum("cj,jab->cajb", wave, blocks).reshape(size, size)
-    left = None
-    if with_left:
-        inverse = np.linalg.inv(blocks)
-        _check_pairing(np.linalg.norm(inverse, axis=-1).ravel()[order])
-        left = np.einsum("cj,jba->jbca", wave.conj(),
-                         inverse).reshape(size, size)[order]
-    return values[order], right[:, order], left, blocks
+    return values[order], right[:, order], blocks
 
 
 def _real_frame(model: BlochModel):
@@ -455,43 +439,36 @@ def _real_frame(model: BlochModel):
     return v, BlochModel(*rotated.reshape(3, 2, 2), label=model.label)
 
 
-def _solve(model: BlochModel, n_cells: int, bc: Boundary,
-           with_left: bool = False):
+def _solve(model: BlochModel, n_cells: int, bc: Boundary):
     """Eigensystem of one chain, from its momentum blocks where
     :func:`_bloch_waves` can take them and from one dense solve
     otherwise; a cell count below 1 is refused first.
 
     An open chain of at most ``FRAME_MAX_CELLS`` cells whose model has
     a real frame (:func:`_real_frame`) is solved as the chain of the
-    rotated blocks, in real arithmetic, and its vectors (and left rows)
-    are rotated back cell by cell: the rotation is unitary, so norms,
-    participation ratios, condition numbers and singular values are
-    those of the unrotated chain in exact arithmetic.  Every other
-    chain takes the solve of its own chain.
+    rotated blocks, in real arithmetic, and its vectors are rotated back
+    cell by cell: the rotation is unitary, so norms, participation
+    ratios, condition numbers and singular values are those of the
+    unrotated chain in exact arithmetic.  Every other chain takes the solve of its own
+    chain.
 
-    Returns ``(values, right, left, basis)``: eigenvalues and unit right
-    vectors in the order of :func:`eig_dense`, the paired left rows with
-    ``with_left`` (else ``None``), and the matrix or stack of blocks
-    whose singular values are those of the right eigenvector matrix,
-    for :func:`defectiveness`.
+    Returns ``(values, right, basis)``: eigenvalues and unit right
+    vectors in the order of :func:`eig_dense`, and the matrix or stack
+    of blocks whose singular values are those of the right eigenvector
+    matrix, for :func:`defectiveness`.
     """
     _check_cells(n_cells)
-    waves = (_bloch_waves(model, n_cells, with_left)
+    waves = (_bloch_waves(model, n_cells)
              if bc is Boundary.PERIODIC else None)
     if waves is not None:
         return waves
     frame = (_real_frame(model) if bc is Boundary.OPEN
              and n_cells <= FRAME_MAX_CELLS else None)
     v, model = frame if frame is not None else (None, model)
-    h = build_chain(model, n_cells, bc)
-    values, right = eig_dense(h)
-    left = left_vectors(h, right) if with_left else None
+    values, right = eig_dense(build_chain(model, n_cells, bc))
     if v is not None:
         right = (v @ right.reshape(n_cells, 2, -1)).reshape(right.shape)
-        if left is not None:
-            left = (left.reshape(-1, n_cells, 2)
-                    @ v.conj().T).reshape(left.shape)
-    return values, right, left, right
+    return values, right, right
 
 
 def chain_spectrum(model: BlochModel, n_cells: int,
@@ -506,13 +483,14 @@ def chain_spectrum(model: BlochModel, n_cells: int,
     momentum sample is scalar or an exceptional point.  The
     real-frame solve returns each non-real eigenvalue with its exact
     conjugate.  ``with_left=True`` additionally
-    pairs left eigenvectors (the rows of the inverse right eigenvector
-    matrix, per block for periodic chains), which raises
+    pairs left eigenvectors by :func:`left_vectors` on the spectrum's
+    own right vectors (the rows of their inverse), which raises
     :class:`MatchFailure` for open skin-effect chains beyond a handful
     of cells; everything else is pairing-free.
     """
     bc = Boundary(bc)
-    values, right, left, basis = _solve(model, n_cells, bc, with_left)
+    values, right, basis = _solve(model, n_cells, bc)
+    left = left_vectors(None, right) if with_left else None
     iprs = ipr(right)
     report = spectral_gap(values, iprs)
     return ChainSpectrum(
@@ -620,10 +598,10 @@ def spectrum_scan(model: BlochModel, n_list,
     bc = Boundary(bc)
     rows = []
     for n_cells in n_list:
-        spectrum = chain_spectrum(model, int(n_cells), bc)
+        spectrum = chain_spectrum(model, n_cells, bc)
         im = np.abs(spectrum.eigenvalues.imag)
         rows.append(ScanRow(
-            n_cells=int(n_cells),
+            n_cells=n_cells,
             bc=bc,
             eigenvalues=spectrum.eigenvalues,
             max_abs_imag=spectrum.max_abs_imag,

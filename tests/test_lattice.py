@@ -328,6 +328,7 @@ def test_periodic_spectrum_from_momentum_blocks_matches_dense():
             assert spectrum.defectiveness == pytest.approx(
                 defectiveness(spectrum), rel=1e-12), tag
             assert np.array_equal(spectrum.iprs, ipr(right)), tag
+            assert np.array_equal(left, left_vectors(None, right)), tag
 
 
 def test_periodic_left_profile_matches_transposed_dense_solve():
@@ -518,6 +519,12 @@ ARGUMENT_REFUSALS = {
     "chain_spectrum 0 periodic": (
         lambda: chain_spectrum(lee(), 0, Boundary.PERIODIC),
         ValueError, "n_cells must be >= 1, got 0"),
+    "chain_spectrum 2.5": (
+        lambda: chain_spectrum(lee(), 2.5),
+        TypeError, "cannot be interpreted as an integer"),
+    "spectrum_scan 2.5": (
+        lambda: spectrum_scan(lee(), [2.5, 3.9]),
+        TypeError, "cannot be interpreted as an integer"),
 }
 
 
@@ -643,6 +650,7 @@ def test_framed_hermitian_open_chain_reaches_the_hermitian_solver(
 def test_framed_left_rows_pair_with_the_back_rotated_vectors():
     spectrum = chain_spectrum(lee(), 6, with_left=True)
     left, right = spectrum.left_vectors, spectrum.right_vectors
+    assert np.array_equal(left, left_vectors(None, right))
     assert np.abs(left @ right - np.eye(12)).max() <= 1e-10
     h = build_chain(lee(), 6)
     residual = np.linalg.norm(left @ h - spectrum.eigenvalues[:, None] * left,
